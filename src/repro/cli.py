@@ -599,6 +599,8 @@ def _run_jobs(parser, args, specs, command="sweep", command_args=None):
         incidents = report.exec_stats.describe()
         if incidents != "no incidents":
             print(f"incidents: {incidents}", file=sys.stderr)
+    if report.fleet_stats is not None:
+        print(f"fleet: {report.fleet_stats.describe()}", file=sys.stderr)
     print(f"wall clock: {report.wall_s:.1f}s at --workers {args.workers}",
           file=sys.stderr)
     for outcome in report.failures:

@@ -31,6 +31,7 @@ from repro.core.metrics import MetricsBoard
 from repro.sched.domains import DomainHierarchy
 from repro.sched.load_balance import (
     LoadBalanceConfig,
+    cannot_move,
     find_busiest_group,
     find_busiest_queue,
 )
@@ -116,7 +117,16 @@ class EnergyBalancer:
 
     # -- entry point ----------------------------------------------------------
     def balance(self, cpu_id: int) -> int:
-        """One full pass for ``cpu_id`` (Figure 4); returns tasks moved."""
+        """One full pass for ``cpu_id`` (Figure 4); returns tasks moved.
+
+        A pass that cannot move a task returns before computing any
+        ratio, unless an audit log is installed: the audit records every
+        pull evaluation, so it gets the full pass.
+        """
+        if self.audit is None and cannot_move(
+            cpu_id, self.hierarchy, self.runqueues, self.config.load.min_imbalance
+        ):
+            return 0
         moved = 0
         for domain in self.hierarchy.chain(cpu_id):
             if not domain.smt_level:

@@ -33,7 +33,11 @@ from repro.core.policyspec import (  # noqa: F401  (re-exported API surface)
 )
 from repro.core.profile import ProfileConfig
 from repro.sched.domains import DomainHierarchy
-from repro.sched.load_balance import LoadBalanceConfig, load_balance_pass
+from repro.sched.load_balance import (
+    LoadBalanceConfig,
+    cannot_move,
+    load_balance_pass,
+)
 from repro.sched.runqueue import RunQueue
 from repro.sched.task import Task
 
@@ -86,6 +90,11 @@ class SchedulingPolicy(Protocol):
 
     def periodic_balance(self, cpu_id: int) -> int:
         """Periodic balancing pass for a CPU; returns tasks moved."""
+        ...
+
+    def balance_cannot_move(self, cpu_id: int) -> bool:
+        """True if ``periodic_balance(cpu_id)`` would be a no-op right now
+        (no move, no audit record), so a caller may skip it."""
         ...
 
     def check_active_migration(self, cpu_id: int) -> bool:
@@ -148,6 +157,11 @@ class BaselinePolicy:
             config=self.load_config,
         )
 
+    def balance_cannot_move(self, cpu_id: int) -> bool:
+        return cannot_move(
+            cpu_id, self.hierarchy, self.runqueues, self.load_config.min_imbalance
+        )
+
     def check_active_migration(self, cpu_id: int) -> bool:
         return False
 
@@ -200,6 +214,14 @@ class EnergyAwarePolicy:
         if not self.config.enable_energy_balance:
             return self._fallback.periodic_balance(cpu_id)
         return self.balancer.balance(cpu_id)
+
+    def balance_cannot_move(self, cpu_id: int) -> bool:
+        if self.config.enable_energy_balance and self.balancer.audit is not None:
+            return False
+        return cannot_move(
+            cpu_id, self.hierarchy, self.runqueues,
+            self.config.balance.load.min_imbalance,
+        )
 
     def check_active_migration(self, cpu_id: int) -> bool:
         if not self.config.enable_hot_migration:

@@ -54,7 +54,7 @@ and tick length must match across the fleet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,6 +85,10 @@ class FleetStats:
     into the arrays (``resyncs``), and how many housekeeping cadences
     actually fired a member call.  Pure telemetry — nothing reads them
     back into the simulation.
+
+    ``fallback_reasons`` counts, per reason, the jobs a fleet grid sent
+    to the process pool instead (see :func:`repro.runner.run_grid_fleet`);
+    it is not one of the :meth:`as_dict` counters.
     """
 
     machine_ticks: int = 0
@@ -93,6 +97,7 @@ class FleetStats:
     flushes: int = 0
     resyncs: int = 0
     housekeeping_fires: int = 0
+    fallback_reasons: dict[str, int] = field(default_factory=dict)
 
     def merge(self, other: "FleetStats") -> None:
         self.machine_ticks += other.machine_ticks
@@ -101,6 +106,27 @@ class FleetStats:
         self.flushes += other.flushes
         self.resyncs += other.resyncs
         self.housekeeping_fires += other.housekeeping_fires
+        for reason, n in other.fallback_reasons.items():
+            self.note_fallback(reason, n)
+
+    def note_fallback(self, reason: str, n: int = 1) -> None:
+        self.fallback_reasons[reason] = self.fallback_reasons.get(reason, 0) + n
+
+    def describe(self) -> str:
+        """One line: fleet members and batches, pool fallbacks by reason."""
+        line = f"{self.members} jobs in {self.batches} fleet batch" + (
+            "" if self.batches == 1 else "es"
+        )
+        fallbacks = sum(self.fallback_reasons.values())
+        if not fallbacks:
+            return line + ", no pool fallback"
+        reasons = "; ".join(
+            f"{n}x {reason}"
+            for reason, n in sorted(
+                self.fallback_reasons.items(), key=lambda kv: (-kv[1], kv[0])
+            )
+        )
+        return line + f", {fallbacks} fell back to the pool ({reasons})"
 
     def as_dict(self) -> dict:
         return {
@@ -1064,20 +1090,25 @@ class FleetEngine:
     def _housekeep_machine(self, m, merged, balset, idleset, hotset, now_ms) -> None:
         self.stats.housekeeping_fires += 1
         rqs = self.rq_lists[m]
+        policy = self.systems[m].policy
         # flush only if some call will read the metrics board: a balance
-        # fires, or a hot check passes its single-task pre-gate
+        # fires that could move a task, or a hot check passes its
+        # single-task pre-gate.  Until something flushes, no call in this
+        # pass has run, so every nr read here is the one the call sees.
         need_flush = False
         for c in merged:
-            if c in balset or (c in idleset and rqs[c].nr == 0):
+            if (
+                c in balset or (c in idleset and rqs[c].nr == 0)
+            ) and not policy.balance_cannot_move(c):
                 need_flush = True
                 break
             if c in hotset and rqs[c].nr == 1:
                 need_flush = True
                 break
         if not need_flush:
-            # hot checks on multi/zero-task queues read nothing and change
-            # nothing; run them anyway to keep the call sequence identical
-            policy = self.systems[m].policy
+            # no-op balances are skipped; hot checks on multi/zero-task
+            # queues read nothing and change nothing, but run them anyway
+            # to keep the call sequence identical
             for c in merged:
                 if c in hotset:
                     policy.check_active_migration(c)
@@ -1089,7 +1120,6 @@ class FleetEngine:
         sys_ = self.systems[m]
         sys_._now_ms = now_ms  # migration event records read the member clock
         currents = [rq.current for rq in rqs]
-        policy = sys_.policy
         moved = 0
         for c in merged:  # same c-ascending order as System._housekeeping
             if c in balset or (rqs[c].nr == 0 and c in idleset):

@@ -53,6 +53,7 @@ EVENT_KINDS = (
     "worker_death",
     "pool_rebuild",
     "worker_backoff",
+    "fleet_fallback",
     "fleet_chunk_started",
     "fleet_chunk_finished",
     "fleet_tick_progress",

@@ -143,7 +143,8 @@ class GridReport:
 
     ``fleet_stats`` is filled only by :func:`repro.runner.fleet_grid.
     run_grid_fleet` — aggregate :class:`repro.fleet.engine.FleetStats`
-    across every fleet batch the sweep ran.
+    across every fleet batch the sweep ran, plus its pool fallbacks by
+    reason.
     """
 
     outcomes: list[JobOutcome]

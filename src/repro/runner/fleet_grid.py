@@ -186,18 +186,27 @@ def run_grid_fleet(
             to_run.append(i)
 
     # -- partition: fleet-eligible groups vs pool fallback ------------------
+    from repro.fleet import FleetEngine, FleetStats
+
+    fleet_stats = FleetStats()
+    fallback: list[int] = []
+
+    def fall_back(i: int, reason: str) -> None:
+        fallback.append(i)
+        fleet_stats.note_fallback(reason)
+        if bus is not None:
+            bus.emit("fleet_fallback", index=i, reason=reason)
+
     groups: dict[tuple, list[tuple[int, object, object]]] = {}
-    members: dict[int, tuple] = {}
     for i in to_run:
-        scenario, system, _reason = _build_member(specs[i])
+        scenario, system, reason = _build_member(specs[i])
         if scenario is None:
+            fall_back(i, reason)
             continue
-        members[i] = (scenario, system)
         groups.setdefault(_machine_key(scenario), []).append(
             (i, scenario, system)
         )
 
-    fallback: list[int] = []
     batches: list[list[tuple[int, object, object]]] = []
     for key in sorted(groups, key=lambda k: str(k)):
         group = groups[key]
@@ -206,19 +215,17 @@ def run_grid_fleet(
             if len(chunk) >= MIN_FLEET_BATCH:
                 batches.append(chunk)
             else:
-                fallback.extend(i for i, _sc, _sys in chunk)
-    fallback.extend(i for i in to_run if i not in members)
-    fallback.sort()
+                for i, _sc, _sys in chunk:
+                    fall_back(
+                        i, f"fewer than {MIN_FLEET_BATCH} jobs share its machine"
+                    )
 
     # -- run the fleet batches ----------------------------------------------
     interrupted = False
-    fleet_stats = None
     for batch_no, chunk in enumerate(batches):
         if stop_event is not None and stop_event.is_set():
             interrupted = True
             break
-        from repro.fleet import FleetEngine
-
         indices = [i for i, _sc, _sys in chunk]
         batch_start = time.monotonic()
         if journal is not None:
@@ -238,17 +245,13 @@ def run_grid_fleet(
         except Exception as exc:
             # A batch failure says nothing about which member is at
             # fault; rerun them all through the pool's blame machinery.
+            error = f"{type(exc).__name__}: {exc}"
             if bus is not None:
                 bus.emit("fleet_chunk_finished", chunk=batch_no,
-                         members=len(chunk), ok=False,
-                         error=f"{type(exc).__name__}: {exc}")
-            fallback.extend(indices)
-            fallback.sort()
+                         members=len(chunk), ok=False, error=error)
+            for i in indices:
+                fall_back(i, f"fleet batch failed ({error})")
             continue
-        if fleet_stats is None:
-            from repro.fleet import FleetStats
-
-            fleet_stats = FleetStats()
         fleet_stats.merge(engine.stats)
         elapsed = time.monotonic() - batch_start
         per_job = elapsed / len(chunk)
@@ -271,6 +274,7 @@ def run_grid_fleet(
                      members=len(chunk), ok=True, wall_s=elapsed)
 
     # -- pool fallback for everything else ----------------------------------
+    fallback.sort()
     stats = ExecutorStats()
     stats.interrupted = interrupted
     if fallback and not interrupted:

@@ -60,6 +60,32 @@ def group_load(group: CpuGroup, runqueues: Mapping[int, RunQueue]) -> float:
     return total / len(group.cpus)
 
 
+def cannot_move(
+    cpu_id: int,
+    hierarchy: DomainHierarchy,
+    runqueues: Mapping[int, RunQueue],
+    min_imbalance: int,
+) -> bool:
+    """True if no balancing pass for ``cpu_id`` can move a task right now.
+
+    Every pull takes a queued task from a queue inside the top domain's
+    span.  The energy step (§4.4) never pulls from a queue holding fewer
+    than 2 tasks, and the load step needs ``busiest.nr - local.nr >=
+    min_imbalance``.  So when the longest queue in the span is below
+    both ``2`` and ``local.nr + min_imbalance``, neither step can fire at
+    any level, and since nothing moves, no ``nr`` changes during the
+    pass.  Reads integers only: no float, no RNG draw, no cache fill.
+    """
+    chain = hierarchy.chain(cpu_id)
+    if not chain:
+        return True
+    limit = min(2, runqueues[cpu_id].nr + min_imbalance)
+    for c in chain[-1].span:
+        if runqueues[c].nr >= limit:
+            return False
+    return True
+
+
 def find_busiest_group(
     domain: SchedDomain,
     cpu_id: int,
@@ -119,6 +145,8 @@ def load_balance_pass(
     ``min_imbalance``, pull enough queued tasks to halve the difference.
     """
     config = config if config is not None else LoadBalanceConfig()
+    if cannot_move(cpu_id, hierarchy, runqueues, config.min_imbalance):
+        return 0
     selector = selector if selector is not None else default_selector
     local_rq = runqueues[cpu_id]
     moved = 0

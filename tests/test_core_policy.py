@@ -131,3 +131,22 @@ class TestAblationSwitches:
         # CPU 3 idle: least-loaded placement always chooses it, even for
         # a hot task that energy placement would have sent elsewhere.
         assert policy.place_new_task(make_task(power_w=60.0)) == 3
+
+
+class TestBalanceCannotMove:
+    def test_both_policies_reject_short_queues(self, smp4):
+        smp4.add_task(0, 45.0, running=True)
+        smp4.add_task(1, 45.0, running=True)
+        assert baseline(smp4).balance_cannot_move(2)
+        assert energy(smp4).balance_cannot_move(2)
+        smp4.add_task(1, 45.0)
+        assert not baseline(smp4).balance_cannot_move(2)
+        assert not energy(smp4).balance_cannot_move(2)
+
+    def test_audited_balancer_is_never_skipped(self, smp4):
+        policy = energy(smp4)
+        policy.balancer.audit = object()
+        assert not policy.balance_cannot_move(0)
+        fallback = energy(smp4, EnergyAwareConfig(enable_energy_balance=False))
+        fallback.balancer.audit = object()
+        assert fallback.balance_cannot_move(0)

@@ -137,6 +137,42 @@ class TestRunGridFleet:
         for outcome, spec in zip(report.outcomes, specs):
             assert _encode(outcome.result) == _encode(execute_spec(spec))
 
+    def test_fallback_reasons_counted_and_emitted(self):
+        from repro.obs.events import EventBus, RingBufferSink
+
+        specs = [
+            _fleet_spec(1),
+            _noisy_spec(7),
+            _fleet_spec(2),
+            JobSpec(experiment="fig9", seed=3, duration_s=2.0),
+            _fleet_spec(3, tick_ms=5),  # alone on its machine key
+        ]
+        bus = EventBus()
+        ring = RingBufferSink(256)
+        bus.subscribe(ring)
+        report = run_grid_fleet(specs, bus=bus)
+        assert all(o.ok for o in report.outcomes)
+        events = {
+            e.data["index"]: e.data["reason"]
+            for e in ring.events() if e.kind == "fleet_fallback"
+        }
+        assert sorted(events) == [1, 3, 4]
+        assert "noise_sigma" in events[1]
+        assert "pool" in events[3]
+        assert f"fewer than {MIN_FLEET_BATCH}" in events[4]
+        stats = report.fleet_stats
+        assert stats.members == 2
+        assert sum(stats.fallback_reasons.values()) == 3
+        assert set(stats.fallback_reasons) == set(events.values())
+        line = stats.describe()
+        assert line.startswith("2 jobs in 1 fleet batch, 3 fell back")
+        assert "1x experiment specs always run on the pool" in line
+
+    def test_all_fleet_sweep_reports_no_fallback(self):
+        report = run_grid_fleet([_fleet_spec(seed) for seed in (1, 2)])
+        assert report.fleet_stats.fallback_reasons == {}
+        assert report.fleet_stats.describe().endswith("no pool fallback")
+
     def test_bad_fleet_size_rejected(self):
         with pytest.raises(ValueError):
             run_grid_fleet([_fleet_spec(1)], fleet_size=0)
@@ -170,7 +206,13 @@ class TestCliWiring:
                 "--engine", engine, "--no-cache", "--json",
             ])
             assert code == 0
-            outputs.append(capsys.readouterr().out)
+            captured = capsys.readouterr()
+            outputs.append(captured.out)
+            if engine == "fleet":
+                assert ("fleet: 3 jobs in 1 fleet batch, no pool fallback"
+                        in captured.err)
+            else:
+                assert "fleet:" not in captured.err
         assert outputs[0] == outputs[1]
 
     def test_sweep_rejects_scenario_plus_experiment(self, capsys):
