@@ -25,7 +25,6 @@ paper-vs-measured record of every table and figure.
 from repro.api import (
     PolicyComparison,
     ReplicatedComparison,
-    RunOptions,
     SimulationResult,
     compare_policies,
     run_replicated,
@@ -34,7 +33,6 @@ from repro.api import (
 from repro.config import SystemConfig
 from repro.core.policy import (
     EnergyAwareConfig,
-    Policy,
     PolicyDefinition,
     PolicySpec,
     policy_names,
@@ -66,14 +64,12 @@ __all__ = [
     "MachineSpec",
     "ObservabilityConfig",
     "PROGRAMS",
-    "Policy",
     "PolicyComparison",
     "PolicyDefinition",
     "PolicySpec",
     "PowerModelParams",
     "PowerTrace",
     "ReplicatedComparison",
-    "RunOptions",
     "Scenario",
     "ProfileConfig",
     "ProgramSpec",

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.config import SystemConfig
-from repro.core.policy import EnergyAwareConfig, Policy, PolicySpec
+from repro.core.policy import EnergyAwareConfig, PolicySpec
 from repro.sim.clock import Clock
 from repro.sim.engine import Engine
 from repro.sim.events import EventKind, EventRecord
@@ -221,64 +221,21 @@ class SimulationResult:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class RunOptions:
-    """Bundled run parameters for :func:`run_simulation` and friends.
-
-    Replaces the keyword sprawl (``policy=``, ``obs=``, ``validate=``,
-    the checkpoint knobs) with one value that travels through
-    :func:`run_simulation`, :meth:`repro.scenario.Scenario.run`, and
-    runner job specs (the ``"options"`` scenario key).  Every field
-    defaults to ``None``, meaning "use the call's default" — so partial
-    options compose with scenario- or call-level settings instead of
-    overriding them with their own defaults.
-
-    ``checkpoint_path`` switches the run to the crash-safe executor
-    (:func:`repro.resilience.checkpoint.run_simulation_checkpointed`),
-    writing a checkpoint every ``checkpoint_every_s`` simulated seconds.
-    """
-
-    policy: PolicySpec | Policy | str | None = None
-    policy_config: EnergyAwareConfig | None = None
-    duration_s: float | None = None
-    fast_path: bool | None = None
-    validate: object = None
-    obs: object = None
-    checkpoint_path: str | None = None
-    checkpoint_every_s: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.policy is not None:
-            # Reject unknown names at construction, not at run time.
-            PolicySpec.coerce(self.policy)
-        if self.checkpoint_every_s is not None and self.checkpoint_path is None:
-            raise ValueError(
-                "checkpoint_every_s only makes sense with checkpoint_path"
-            )
-
-
 def run_simulation(
     config: SystemConfig,
     workload: WorkloadSpec,
-    policy: PolicySpec | Policy | str | None = None,
+    policy: PolicySpec | str = "energy",
     policy_config: EnergyAwareConfig | None = None,
-    duration_s: float | None = None,
-    fast_path: bool | None = None,
-    validate=None,
-    obs=None,
-    options: RunOptions | None = None,
+    duration_s: float = 300.0,
+    fast_path: bool = True,
+    validate=False,
+    obs=False,
 ) -> SimulationResult:
     """Build a system, run it for ``duration_s``, return the result.
 
-    Parameters may be given as the traditional keywords or bundled in
-    ``options=`` (a :class:`RunOptions`); mixing both in one call is an
-    error.  Defaults: ``policy="energy"``, ``duration_s=300``,
-    ``fast_path=True``, ``validate=False``, ``obs=False``.
-
-    ``policy`` accepts a :class:`~repro.core.policy.PolicySpec`, a
-    :class:`~repro.core.policy.Policy` member, a name string, or a
-    ``{"name": ..., "params": {...}}`` mapping; unknown names raise
-    ``ValueError`` up front.
+    ``policy`` accepts a :class:`~repro.core.policyspec.PolicySpec`, a
+    name string, or a ``{"name": ..., "params": {...}}`` mapping;
+    unknown names raise ``ValueError`` up front.
     ``fast_path`` selects the batched tick loop (the default) or the
     scalar reference implementation — results are bit-identical either
     way (the perf harness asserts this), so the flag exists for
@@ -293,64 +250,15 @@ def run_simulation(
     tick-phase profiling, reachable as :attr:`SimulationResult.observer`.
     Observation never changes results — runs with and without it are
     bit-identical (the obs tests assert this).
+    For a crash-safe run that writes periodic checkpoints, use
+    :func:`repro.resilience.checkpoint.run_simulation_checkpointed`.
     """
-    if options is not None:
-        explicit = [
-            name
-            for name, value in (
-                ("policy", policy),
-                ("policy_config", policy_config),
-                ("duration_s", duration_s),
-                ("fast_path", fast_path),
-                ("validate", validate),
-                ("obs", obs),
-            )
-            if value is not None
-        ]
-        if explicit:
-            raise ValueError(
-                "pass run parameters either as keywords or bundled in "
-                f"options=, not both (got keyword(s): {', '.join(explicit)})"
-            )
-    else:
-        options = RunOptions(
-            policy=policy,
-            policy_config=policy_config,
-            duration_s=duration_s,
-            fast_path=fast_path,
-            validate=validate,
-            obs=obs,
-        )
-    policy = options.policy if options.policy is not None else Policy.ENERGY
-    duration_s = options.duration_s if options.duration_s is not None else 300.0
-    fast_path = options.fast_path if options.fast_path is not None else True
-    validate = options.validate if options.validate is not None else False
-    obs = options.obs if options.obs is not None else False
-    if options.checkpoint_path is not None:
-        from repro.resilience.checkpoint import run_simulation_checkpointed
-
-        return run_simulation_checkpointed(
-            config,
-            workload,
-            checkpoint_path=options.checkpoint_path,
-            policy=policy,
-            policy_config=options.policy_config,
-            duration_s=duration_s,
-            checkpoint_every_s=(
-                options.checkpoint_every_s
-                if options.checkpoint_every_s is not None
-                else 60.0
-            ),
-            fast_path=fast_path,
-            validate=validate,
-            obs=obs,
-        )
     clock = Clock(config.tick_ms)
     system = System(
         config,
         workload,
-        policy=PolicySpec.coerce(policy),
-        policy_config=options.policy_config,
+        policy=policy,
+        policy_config=policy_config,
         fast_path=fast_path,
         validate=validate,
         obs=obs,
@@ -410,14 +318,14 @@ def compare_policies(
     baseline = run_simulation(
         config,
         workload,
-        policy=Policy.BASELINE,
+        policy="baseline",
         duration_s=duration_s,
         fast_path=fast_path,
     )
     energy = run_simulation(
         config,
         workload,
-        policy=Policy.ENERGY,
+        policy="energy",
         policy_config=policy_config,
         duration_s=duration_s,
         fast_path=fast_path,

@@ -128,7 +128,7 @@ def run_scenario(
     return BenchScenarioResult(
         name=scenario.name,
         description=scenario.description,
-        policy=scenario.policy.value,
+        policy=scenario.policy,
         duration_s=duration,
         ticks=ticks,
         fast_wall_s=fast_wall,
@@ -194,7 +194,6 @@ def run_fleet_benchmark(
     fleet members' ``scalar_summary()`` dicts must be byte-identical to
     fresh scalar runs of the same seeds.
     """
-    from repro.core.policy import Policy as _Policy
     from repro.fleet import FleetEngine
     from repro.system import System
 
@@ -203,11 +202,10 @@ def run_fleet_benchmark(
     scenario = scenario if scenario is not None else FLEET_SCENARIO
     duration = duration_s if duration_s is not None else scenario.duration_s
     seeds = list(scenario.seeds())
-    policy = _Policy.coerce(scenario.policy)
 
     def _build(seed: int) -> System:
         config, workload = scenario.build_member(seed)
-        return System(config, workload, policy=policy)
+        return System(config, workload, policy=scenario.policy)
 
     # -- fleet side: all machines on one engine -----------------------------
     fleet_wall = None
@@ -232,7 +230,7 @@ def run_fleet_benchmark(
             config, workload = scenario.build_member(seeds[idx])
             start = time.perf_counter()
             result = run_simulation(
-                config, workload, policy=policy,
+                config, workload, policy=scenario.policy,
                 duration_s=duration, fast_path=True,
             )
             wall = time.perf_counter() - start
@@ -256,7 +254,7 @@ def run_fleet_benchmark(
     return {
         "name": scenario.name,
         "description": scenario.description,
-        "policy": policy.value,
+        "policy": scenario.policy,
         "duration_s": duration,
         "n_machines": len(seeds),
         "seeds": [seeds[0], seeds[-1]],

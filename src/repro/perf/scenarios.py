@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import SystemConfig
-from repro.core.policy import Policy
 from repro.cpu.power import PowerModelParams
 from repro.cpu.throttle import ThrottleConfig
 from repro.cpu.topology import MachineSpec
@@ -31,7 +30,7 @@ class PerfScenario:
 
     name: str
     description: str
-    policy: Policy
+    policy: str
     duration_s: float
 
     def build(self) -> tuple[SystemConfig, WorkloadSpec]:
@@ -126,19 +125,19 @@ REFERENCE_SCENARIOS: tuple[PerfScenario, ...] = (
     _Mixed16(
         name=HEADLINE_SCENARIO,
         description="16-CPU SMT, mixed Table-2 workload, energy policy",
-        policy=Policy.ENERGY,
+        policy="energy",
         duration_s=300.0,
     ),
     _Mixed16(
         name="mixed-16cpu-baseline",
         description="16-CPU SMT, mixed Table-2 workload, baseline policy",
-        policy=Policy.BASELINE,
+        policy="baseline",
         duration_s=100.0,
     ),
     _Mixed16(
         name="mixed-8cpu-nosmt",
         description="8-CPU non-SMT, mixed Table-2 workload, energy policy",
-        policy=Policy.ENERGY,
+        policy="energy",
         duration_s=100.0,
         smt=False,
         seed=7,
@@ -147,7 +146,7 @@ REFERENCE_SCENARIOS: tuple[PerfScenario, ...] = (
     _Mixed16(
         name="throttle-hlt",
         description="16-CPU SMT with 20 W/CPU budget, hlt throttling",
-        policy=Policy.ENERGY,
+        policy="energy",
         duration_s=100.0,
         seed=11,
         max_power_per_cpu_w=20.0,
@@ -156,7 +155,7 @@ REFERENCE_SCENARIOS: tuple[PerfScenario, ...] = (
     _Mixed16(
         name="throttle-package",
         description="16-CPU SMT with 40 W/package budget, hlt throttling",
-        policy=Policy.ENERGY,
+        policy="energy",
         duration_s=100.0,
         seed=11,
         max_power_per_cpu_w=20.0,
@@ -165,7 +164,7 @@ REFERENCE_SCENARIOS: tuple[PerfScenario, ...] = (
     _Mixed16(
         name="throttle-dvfs",
         description="16-CPU SMT with 20 W/CPU budget, DVFS throttling",
-        policy=Policy.ENERGY,
+        policy="energy",
         duration_s=100.0,
         seed=13,
         max_power_per_cpu_w=20.0,
@@ -177,7 +176,7 @@ REFERENCE_SCENARIOS: tuple[PerfScenario, ...] = (
             "Adversarial hot/cool rotation (18 W budget, 2 s dwell, "
             "4 CPU blocks) maximizing migration ping-pong"
         ),
-        policy=Policy.ENERGY,
+        policy="energy",
         duration_s=60.0,
         params=_ADV_PINGPONG_PARAMS,
     ),
@@ -187,7 +186,7 @@ REFERENCE_SCENARIOS: tuple[PerfScenario, ...] = (
             "Adversarial hot/cool rotation (15 W budget, 2.4 s dwell, "
             "4 CPU blocks) maximizing hlt throttle storms"
         ),
-        policy=Policy.ENERGY,
+        policy="energy",
         duration_s=60.0,
         params=_ADV_STORM_PARAMS,
     ),
@@ -207,7 +206,7 @@ class FleetPerfScenario:
 
     name: str
     description: str
-    policy: Policy
+    policy: str
     duration_s: float
     n_machines: int = 64
     first_seed: int = 1
@@ -240,7 +239,7 @@ FLEET_SCENARIO = FleetPerfScenario(
         "64 x 16-CPU SMT machines, steady 16-task mix, energy policy, "
         "seeds 1..64, one vectorized FleetEngine"
     ),
-    policy=Policy.ENERGY,
+    policy="energy",
     duration_s=60.0,
 )
 

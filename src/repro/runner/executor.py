@@ -77,26 +77,18 @@ def execute_spec(spec: JobSpec) -> dict:
         data["duration_s"] = spec.duration_s
     if spec.seed is not None:
         data["seed"] = spec.seed
-    obs = bool(data.pop("obs", False))
-    options_data = dict(data.pop("options", None) or {})
-    unknown = set(options_data) - {"fast_path", "validate", "obs"}
+    options = dict(data.pop("options", None) or {})
+    unknown = set(options) - {"fast_path", "validate", "obs"}
     if unknown:
         raise ValueError(f"unknown scenario option keys: {sorted(unknown)}")
-    if "obs" in options_data:
-        obs = bool(options_data["obs"]) or obs
+    obs = bool(data.pop("obs", False)) or bool(options.get("obs"))
     scenario = parse_scenario(data)
-    if options_data:
-        from repro.api import RunOptions
-
-        result = scenario.run(
-            options=RunOptions(
-                fast_path=options_data.get("fast_path"),
-                validate=options_data.get("validate"),
-                obs=obs or None,
-            )
-        )
-    else:
-        result = scenario.run(obs=obs)
+    fast_path = options.get("fast_path")
+    result = scenario.run(
+        validate=options.get("validate") or False,
+        obs=obs,
+        fast_path=True if fast_path is None else fast_path,
+    )
     out = {
         "experiment": None,
         "scenario": scenario.workload.name,

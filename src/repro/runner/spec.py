@@ -22,10 +22,10 @@ from repro.core.policyspec import canonical_policy_value
 def _canonical_scenario_keys(data: dict[str, Any]) -> dict[str, Any]:
     """Normalize policy spellings so equivalent specs hash identically.
 
-    ``PolicySpec("energy")``, ``Policy.ENERGY``, and ``"energy"`` all
-    render as the plain name (byte-for-byte the pre-PolicySpec form, so
-    existing cache entries stay valid); parameterized specs render as
-    the sorted ``{"name", "params"}`` mapping.  Invalid values are left
+    ``PolicySpec("energy")`` and ``"energy"`` both render as the plain
+    name (byte-for-byte the pre-PolicySpec form, so existing cache
+    entries stay valid); parameterized specs render as the sorted
+    ``{"name", "params"}`` mapping.  Invalid values are left
     untouched — they fail at execution time with the parser's error,
     exactly as before.
     """

@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass, replace as dataclasses_replace
+from dataclasses import dataclass
 
-from repro.api import RunOptions, SimulationResult, run_simulation
+from repro.api import SimulationResult, run_simulation
 from repro.config import SystemConfig
 from repro.core.policyspec import PolicySpec
 from repro.cpu.thermal import ThermalParams
@@ -57,43 +57,18 @@ from repro.workloads.programs import program
 
 @dataclass(frozen=True, slots=True)
 class Scenario:
-    """A parsed, runnable scenario.
-
-    ``policy`` stays a plain string for param-less policies (everything
-    pre-PolicySpec scenario files can express), and becomes a
-    :class:`~repro.core.policyspec.PolicySpec` when the scenario sets
-    policy parameters — either spelling coerces wherever it is used.
-    """
+    """A parsed, runnable scenario."""
 
     config: SystemConfig
     workload: WorkloadSpec
-    policy: str | PolicySpec
+    policy: PolicySpec
     duration_s: float
 
-    def run(
-        self, validate=False, obs=False, options: RunOptions | None = None
-    ) -> SimulationResult:
-        if options is not None:
-            if validate or obs:
-                raise ValueError(
-                    "pass validate/obs inside options= when using RunOptions"
-                )
-            # The scenario's own policy/duration fill unset option fields.
-            merged = dataclasses_replace(
-                options,
-                policy=(
-                    options.policy if options.policy is not None else self.policy
-                ),
-                duration_s=(
-                    options.duration_s
-                    if options.duration_s is not None
-                    else self.duration_s
-                ),
-            )
-            return run_simulation(self.config, self.workload, options=merged)
+    def run(self, validate=False, obs=False, fast_path=True) -> SimulationResult:
         return run_simulation(
             self.config, self.workload, policy=self.policy,
-            duration_s=self.duration_s, validate=validate, obs=obs,
+            duration_s=self.duration_s, fast_path=fast_path,
+            validate=validate, obs=obs,
         )
 
 
@@ -234,14 +209,11 @@ def parse_scenario(data: dict) -> Scenario:
         **kwargs,
     )
     # Accepts a name string or a {"name": ..., "params": {...}} mapping;
-    # unknown names/params raise here, before any run starts.  Param-less
-    # policies stay plain strings so `scenario.policy == "energy"` and
-    # every older call site keep working byte-for-byte.
-    spec = PolicySpec.coerce(data.get("policy", "energy"))
+    # unknown names/params raise here, before any run starts.
     return Scenario(
         config=config,
         workload=_parse_workload(data["workload"]),
-        policy=spec.name if not spec.params else spec,
+        policy=PolicySpec.coerce(data.get("policy", "energy")),
         duration_s=float(data.get("duration_s", 300.0)),
     )
 

@@ -35,7 +35,6 @@ from repro.core.policy import (
     BaselinePolicy,
     EnergyAwareConfig,
     EnergyAwarePolicy,
-    Policy,
     PolicySpec,
     SchedulingPolicy,
 )
@@ -133,7 +132,7 @@ class System:
         self,
         config: SystemConfig,
         workload: WorkloadSpec,
-        policy: PolicySpec | Policy | str = Policy.ENERGY,
+        policy: PolicySpec | str = "energy",
         policy_config: EnergyAwareConfig | None = None,
         tracer: Tracer | None = None,
         fast_path: bool = True,

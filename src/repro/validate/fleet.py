@@ -177,18 +177,16 @@ def fleet_oracle_check(
     """
     from dataclasses import replace
 
-    from repro.core.policy import Policy
     from repro.perf.scenarios import FLEET_SCENARIO
 
     scenario = replace(
         FLEET_SCENARIO, n_machines=n_machines, first_seed=first_seed
     )
-    policy = Policy.coerce(scenario.policy)
 
     def make_builder(seed: int) -> Callable[[], System]:
         def build() -> System:
             config, workload = scenario.build_member(seed)
-            return System(config, workload, policy=policy)
+            return System(config, workload, policy=scenario.policy)
 
         return build
 

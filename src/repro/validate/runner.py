@@ -324,7 +324,7 @@ def golden_trace(
     return {
         "schema": GOLDEN_SCHEMA,
         "scenario": scenario.name,
-        "policy": scenario.policy.value,
+        "policy": scenario.policy,
         "duration_s": duration_s,
         "summary": result.scalar_summary(),
         "counters": tracer.counters.as_dict(),

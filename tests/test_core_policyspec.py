@@ -1,10 +1,9 @@
-"""PolicySpec: registry, coercion shims, equality/hash compatibility."""
+"""PolicySpec: registry, coercion, equality/hash compatibility."""
 
 import pickle
 
 import pytest
 
-from repro.core.policy import Policy
 from repro.core.policyspec import (
     POLICY_REGISTRY,
     PolicySpec,
@@ -44,9 +43,6 @@ class TestCoercion:
 
     def test_string_case_insensitive(self):
         assert PolicySpec.coerce("ENERGY").name == "energy"
-
-    def test_enum_member(self):
-        assert PolicySpec.coerce(Policy.BASELINE).name == "baseline"
 
     def test_spec_passthrough(self):
         spec = PolicySpec("dvfs-reactive")
@@ -103,9 +99,6 @@ class TestStringCompatibility:
         assert hash(spec) == hash("energy")
         assert len({spec, "energy"}) == 1
 
-    def test_eq_matches_enum_member(self):
-        assert PolicySpec("energy") == Policy.ENERGY
-
     def test_parameterized_spec_not_equal_to_name(self):
         spec = PolicySpec("dvfs-reactive", {"step_up_margin_w": 3.0})
         assert spec != "dvfs-reactive"
@@ -127,7 +120,6 @@ class TestStringCompatibility:
 class TestCanonicalValue:
     def test_paramless_renders_as_plain_name(self):
         assert canonical_policy_value("energy") == "energy"
-        assert canonical_policy_value(Policy.ENERGY) == "energy"
         assert canonical_policy_value(PolicySpec("energy")) == "energy"
 
     def test_parameterized_renders_as_mapping(self):

@@ -12,7 +12,6 @@ import json
 
 import pytest
 
-from repro.core.policy import Policy
 from repro.fleet import FLEET_CHECKPOINT_SCHEMA, FleetEngine
 from repro.perf.scenarios import FLEET_SCENARIO
 from repro.system import System
@@ -24,7 +23,7 @@ TOTAL_TICKS = 260
 
 def _build(seed: int) -> System:
     config, workload = FLEET_SCENARIO.build_member(seed)
-    return System(config, workload, policy=Policy.coerce(FLEET_SCENARIO.policy))
+    return System(config, workload, policy=FLEET_SCENARIO.policy)
 
 
 def _engine() -> FleetEngine:

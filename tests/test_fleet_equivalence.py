@@ -13,7 +13,6 @@ import json
 
 import pytest
 
-from repro.core.policy import Policy
 from repro.config import SystemConfig
 from repro.cpu.power import PowerModelParams
 from repro.cpu.throttle import ThrottleConfig
@@ -36,7 +35,7 @@ def _member_config(seed: int, **overrides) -> SystemConfig:
     return replace(base, **overrides)
 
 
-def _build(seed: int, policy: Policy, **overrides) -> System:
+def _build(seed: int, policy: str, **overrides) -> System:
     config = _member_config(seed, **overrides)
     return System(config, steady_mix_workload(4), policy=policy)
 
@@ -46,7 +45,7 @@ def _encode(summary: dict) -> str:
 
 
 class TestLockstepEquivalence:
-    @pytest.mark.parametrize("policy", [Policy.ENERGY, Policy.BASELINE])
+    @pytest.mark.parametrize("policy", ["energy", "baseline"])
     def test_policies_match_scalar_bit_for_bit(self, policy):
         report = fleet_lockstep(
             [lambda s=s: _build(s, policy) for s in (1, 2, 3, 4)],
@@ -70,13 +69,13 @@ class TestLockstepEquivalence:
         from repro.api import run_simulation
 
         seeds = (1, 5, 9)
-        engine = FleetEngine([_build(s, Policy.ENERGY) for s in seeds])
+        engine = FleetEngine([_build(s, "energy") for s in seeds])
         engine.run_for(DURATION_S)
         fleet_results = engine.results(DURATION_S)
         for seed, fleet_result in zip(seeds, fleet_results):
             config = _member_config(seed)
             scalar = run_simulation(
-                config, steady_mix_workload(4), policy=Policy.ENERGY,
+                config, steady_mix_workload(4), policy="energy",
                 duration_s=DURATION_S, fast_path=True,
             )
             assert _encode(fleet_result.scalar_summary()) == _encode(
@@ -86,7 +85,7 @@ class TestLockstepEquivalence:
 
 class TestEligibility:
     def test_pinned_member_is_eligible(self):
-        check_fleet_supported(_build(1, Policy.ENERGY))
+        check_fleet_supported(_build(1, "energy"))
 
     @pytest.mark.parametrize("overrides", [
         {"counter_jitter_sigma": 0.01},
@@ -95,19 +94,19 @@ class TestEligibility:
     ])
     def test_noise_and_throttle_are_rejected(self, overrides):
         with pytest.raises(FleetUnsupported):
-            check_fleet_supported(_build(1, Policy.ENERGY, **overrides))
+            check_fleet_supported(_build(1, "energy", **overrides))
 
     def test_heterogeneous_tick_rejected_at_construction(self):
         """Members must share the tick length."""
-        odd = _build(2, Policy.ENERGY, tick_ms=20)
+        odd = _build(2, "energy", tick_ms=20)
         with pytest.raises(FleetUnsupported):
-            FleetEngine([_build(1, Policy.ENERGY), odd])
+            FleetEngine([_build(1, "energy"), odd])
 
     def test_divergence_report_names_the_member(self):
         """A seeded mismatch is pinned to its machine index and seed."""
         report = fleet_lockstep(
-            [lambda: _build(7, Policy.ENERGY),
-             lambda: _build(8, Policy.ENERGY)],
+            [lambda: _build(7, "energy"),
+             lambda: _build(8, "energy")],
             n_ticks=50,
         )
         assert report.identical  # sanity: clean run first
@@ -151,7 +150,7 @@ class TestGeneratedFamilies:
 
         report = fleet_lockstep(
             [
-                lambda: _build(1, Policy.ENERGY),
+                lambda: _build(1, "energy"),
                 lambda: generated("poisson", 5),
                 lambda: generated("bursty", 5),
             ],

@@ -12,7 +12,6 @@ import pytest
 
 from repro import (
     MachineSpec,
-    Policy,
     SystemConfig,
     ThrottleConfig,
     mixed_table2_workload,
@@ -46,7 +45,7 @@ def _run_both(config, workload, policy):
 
 
 class TestFastScalarEquality:
-    @pytest.mark.parametrize("policy", [Policy.ENERGY, Policy.BASELINE])
+    @pytest.mark.parametrize("policy", ["energy", "baseline"])
     @pytest.mark.parametrize("seed", [2, 7])
     @pytest.mark.parametrize("smt", [True, False])
     def test_summary_byte_identical(self, policy, seed, smt):
@@ -73,7 +72,7 @@ class TestFastScalarEquality:
             throttle=ThrottleConfig(enabled=True, scope=scope, mode=mode),
         )
         fast, scalar = _run_both(
-            config, mixed_table2_workload(2), Policy.ENERGY
+            config, mixed_table2_workload(2), "energy"
         )
         assert _encode(fast.scalar_summary()) == _encode(
             scalar.scalar_summary()
@@ -85,7 +84,7 @@ class TestFastScalarEquality:
             machine=MachineSpec.smp(4), max_power_per_cpu_w=60.0, seed=3
         )
         fast, scalar = _run_both(
-            config, mixed_table2_workload(1), Policy.ENERGY
+            config, mixed_table2_workload(1), "energy"
         )
         assert (fast.system.tracer.counters.as_dict()
                 == scalar.system.tracer.counters.as_dict())
@@ -207,7 +206,7 @@ class TestCounterDefaults:
         config = SystemConfig(machine=MachineSpec.smp(2), seed=1)
         result = run_simulation(
             config, single_program_workload("aluadd", 1),
-            policy=Policy.BASELINE, duration_s=0.01,
+            policy="baseline", duration_s=0.01,
         )
         assert result.jobs_completed == 0
         assert result.migrations() == 0

@@ -1,7 +1,7 @@
 """PolicySpec digest stability: cache keys survive the API redesign.
 
 Three guarantees keep the on-disk result cache valid across the
-PolicySpec introduction: old-style string/enum policy spellings hash to
+PolicySpec introduction: old-style string policy spellings hash to
 byte-identical job specs, parameterized specs hash deterministically
 across processes (no PYTHONHASHSEED leakage), and the code salt still
 covers the policy sources so semantic changes invalidate cached
@@ -13,7 +13,6 @@ import pathlib
 import subprocess
 import sys
 
-from repro.core.policy import Policy
 from repro.core.policyspec import PolicySpec
 from repro.runner.spec import JobSpec
 
@@ -28,13 +27,11 @@ def scenario_data(policy):
 
 
 class TestSpellingEquivalence:
-    def test_string_enum_and_spec_hash_identically(self):
+    def test_string_and_spec_hash_identically(self):
         plain = JobSpec(scenario=scenario_data("energy"), duration_s=5.0)
-        enum = JobSpec(scenario=scenario_data(Policy.ENERGY), duration_s=5.0)
         spec = JobSpec(
             scenario=scenario_data(PolicySpec("energy")), duration_s=5.0
         )
-        assert plain.content_hash() == enum.content_hash()
         assert plain.content_hash() == spec.content_hash()
 
     def test_default_params_hash_like_bare_name(self):
@@ -59,7 +56,7 @@ class TestSpellingEquivalence:
 
     def test_override_policy_canonicalized_too(self):
         base = scenario_data("energy")
-        a = JobSpec(scenario=base, overrides={"policy": Policy.BASELINE})
+        a = JobSpec(scenario=base, overrides={"policy": PolicySpec("baseline")})
         b = JobSpec(scenario=base, overrides={"policy": "baseline"})
         assert a.content_hash() == b.content_hash()
 

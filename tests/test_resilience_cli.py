@@ -95,6 +95,25 @@ class TestCheckpointCli:
         assert main(["resume", str(ck)]) == 0
         assert capsys.readouterr().out == reference
 
+    def test_checkpointed_registry_policy_matches_plain_run(self, tmp_path,
+                                                            capsys):
+        # Not one of the paper's two policies, on a budget tight enough
+        # for the DVFS governor to engage before the first checkpoint.
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps({**SCENARIO, "policy": "dvfs-proactive",
+                                    "max_power_per_cpu_w": 12.0}))
+        ck = tmp_path / "ck.bin"
+        assert main(["run-file", str(scen)]) == 0
+        reference = capsys.readouterr().out
+        assert '"policy": "dvfs-proactive"' in reference
+
+        assert main(["run-file", str(scen), "--checkpoint", str(ck),
+                     "--checkpoint-every", "2"]) == 0
+        assert capsys.readouterr().out == reference
+
+        assert main(["resume", str(ck)]) == 0
+        assert capsys.readouterr().out == reference
+
     def test_resume_subcommand_reports_corrupt_checkpoint(self, tmp_path,
                                                           capsys):
         bad = tmp_path / "bad.bin"

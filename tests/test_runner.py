@@ -7,6 +7,9 @@ import pytest
 
 from repro.analysis.report import format_scalar_summaries
 from repro.analysis.stats import summarize_scalars, t_critical_95
+from repro.api import run_simulation
+from repro.config import SystemConfig
+from repro.cpu.topology import MachineSpec
 from repro.runner import (
     JobSpec,
     ResultCache,
@@ -18,6 +21,7 @@ from repro.runner import (
     run_grid,
     sweep_specs,
 )
+from repro.workloads.generator import mixed_table2_workload
 
 
 # Module-level run functions: picklable by name, so the process pool can
@@ -292,6 +296,57 @@ class TestExecuteSpec:
         assert result["duration_s"] == 5.0
         assert result["summary"]["machine"]["n_cpus"] == 2
         assert set(result["scalars"]) >= {"fractional_jobs", "migrations"}
+
+    def test_scenario_options_key(self):
+        spec = JobSpec(
+            scenario={
+                "machine": {"preset": "smp", "n_cpus": 2},
+                "workload": {"builder": "mixed_table2", "copies": 1},
+                "policy": "energy",
+                "options": {"fast_path": False, "validate": True},
+            },
+            duration_s=1.0,
+        )
+        out = execute_spec(spec)
+        assert out["scalars"]["average_utilization"] > 0
+
+    def test_unknown_option_key_rejected(self):
+        spec = JobSpec(
+            scenario={
+                "machine": {"preset": "smp", "n_cpus": 2},
+                "workload": {"builder": "mixed_table2", "copies": 1},
+                "options": {"turbo": True},
+            },
+            duration_s=1.0,
+        )
+        with pytest.raises(ValueError, match="turbo"):
+            execute_spec(spec)
+
+    def test_fast_and_scalar_option_results_identical(self):
+        base = {
+            "machine": {"preset": "smp", "n_cpus": 2},
+            "workload": {"builder": "mixed_table2", "copies": 1},
+            "policy": "dvfs-reactive",
+        }
+        fast = execute_spec(JobSpec(scenario=base, duration_s=1.0))
+        scalar = execute_spec(JobSpec(
+            scenario={**base, "options": {"fast_path": False}},
+            duration_s=1.0,
+        ))
+        assert (json.dumps(fast["scalars"], sort_keys=True)
+                == json.dumps(scalar["scalars"], sort_keys=True))
+
+
+class TestRunSimulationKeywords:
+    def test_keywords_accepted(self):
+        config = SystemConfig(machine=MachineSpec.smp(2),
+                              max_power_per_cpu_w=60.0, seed=3)
+        result = run_simulation(
+            config, mixed_table2_workload(1), policy="baseline",
+            duration_s=1.0, validate=True,
+        )
+        assert result.system.policy_name == "baseline"
+        assert result.violations == []
 
 
 class TestGridFiles:

@@ -9,6 +9,7 @@ and the report must point at a tick and a field set.
 import pytest
 
 from repro.config import SystemConfig
+from repro.core.policyspec import PolicySpec
 from repro.cpu.topology import MachineSpec
 from repro.system import System
 from repro.validate import differential_replay, replay_pair, smt_relabel_check
@@ -23,6 +24,14 @@ def smp_config(n=4, **kwargs):
     )
     defaults.update(kwargs)
     return SystemConfig(**defaults)
+
+
+#: Registry policies beyond the paper's pair, in every accepted spelling.
+REGISTRY_POLICIES = [
+    "dvfs-proactive",
+    "hlt-throttle",
+    PolicySpec("dvfs-reactive", {"levels": (1.0, 0.8, 0.6)}),
+]
 
 
 class TestDifferentialReplay:
@@ -43,6 +52,15 @@ class TestDifferentialReplay:
             duration_s=1.0,
         )
         assert report.identical
+
+    @pytest.mark.parametrize("policy", REGISTRY_POLICIES, ids=str)
+    def test_paths_identical_under_registry_policy(self, policy):
+        # A tight budget, so the DVFS governors and hlt actually engage.
+        report = differential_replay(
+            smp_config(max_power_per_cpu_w=12.0), mixed_table2_workload(1),
+            policy=policy, duration_s=1.0,
+        )
+        assert report.identical, report.to_dict()
 
     def test_probe_every_thins_comparisons_without_blinding_summaries(self):
         report = differential_replay(
@@ -118,6 +136,19 @@ class TestMetamorphicRelabeling:
                                                   rel=1e-9)
         assert report.jobs_a == pytest.approx(report.jobs_b, rel=1e-9)
         assert report.energy_a_j > 0.0
+
+    @pytest.mark.parametrize("policy", REGISTRY_POLICIES, ids=str)
+    def test_sibling_swap_under_registry_policy(self, policy):
+        # A low thermal limit, so temperature control engages.
+        config = SystemConfig(
+            machine=MachineSpec.cmp(packages=2, cores=2, smt=True),
+            temp_limit_c=29.5, seed=42, sample_interval_s=0.5,
+        )
+        report = smt_relabel_check(
+            config, mixed_table2_workload(1), policy=policy, duration_s=2.0
+        )
+        assert report.applicable
+        assert report.ok, report.to_dict()
 
     def test_report_round_trips_to_dict(self):
         report = smt_relabel_check(
