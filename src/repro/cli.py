@@ -108,7 +108,8 @@ def _add_runner_options(parser: argparse.ArgumentParser) -> None:
                         help="execution engine: 'pool' runs one job per "
                              "worker process; 'fleet' packs fleet-eligible "
                              "scenario jobs into vectorized batches that "
-                             "advance N machines per tick (ineligible jobs "
+                             "advance N machines per tick, split across "
+                             "--workers (ineligible jobs "
                              "fall back to the pool; results are "
                              "byte-identical either way)")
     _add_telemetry_options(parser)

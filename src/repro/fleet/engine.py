@@ -214,18 +214,8 @@ class FleetEngine:
         self.systems = list(systems)
         self.tick_ms = first.config.tick_ms
         self.clock = Clock.at(self.tick_ms, ticks=first._now_ms // self.tick_ms)
-        #: Optional :class:`repro.obs.events.EventBus`; when set,
-        #: :meth:`run_ticks` emits ``fleet_tick_progress`` events every
-        #: :attr:`progress_every_ticks` ticks.  Telemetry only — the
-        #: tick sequence is identical with or without a bus (the run is
-        #: merely split into sub-chunks of the same consecutive ticks).
-        self.event_bus = None
         self.stats = FleetStats(members=len(systems), batches=1)
         self._attach()
-
-    #: Tick interval between ``fleet_tick_progress`` emissions when an
-    #: event bus is attached.
-    progress_every_ticks = 1000
 
     # ------------------------------------------------------------------
     # Attach: allocate the SoA block and pull state out of the members
@@ -1156,27 +1146,9 @@ class FleetEngine:
         if n_ticks < 0:
             raise ValueError(f"n_ticks must be non-negative, got {n_ticks}")
         clock = self.clock
-        bus = self.event_bus
-        if bus is None:
-            for _ in range(n_ticks):
-                clock.advance()
-                self.tick(clock)
-        else:
-            # Same consecutive tick sequence, merely split into
-            # sub-chunks so progress events flow while the run is live.
-            done = 0
-            while done < n_ticks:
-                chunk = min(self.progress_every_ticks, n_ticks - done)
-                for _ in range(chunk):
-                    clock.advance()
-                    self.tick(clock)
-                done += chunk
-                bus.emit(
-                    "fleet_tick_progress",
-                    ticks=chunk,
-                    machines=self.n_machines,
-                    ticks_total=clock.ticks,
-                )
+        for _ in range(n_ticks):
+            clock.advance()
+            self.tick(clock)
         self.stats.machine_ticks += n_ticks * self.n_machines
 
     def run_until_tick(self, total_ticks: int) -> None:

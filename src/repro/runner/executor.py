@@ -197,6 +197,10 @@ def run_grid(
     :class:`repro.obs.events.EventBus`; when given, job lifecycle and
     worker incidents are emitted as run events (telemetry only — it
     never alters execution or results).
+
+    With a custom ``run_fn`` the specs may be any picklable job
+    objects, provided no cache, journal, quarantine directory or
+    retries are asked for: those key on :meth:`JobSpec.content_hash`.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

@@ -5,10 +5,15 @@ Scenario specs whose parsed systems are fleet-eligible (see
 :func:`repro.fleet.check_fleet_supported`) are grouped by machine
 topology, tick length, and duration, packed into
 :class:`~repro.fleet.FleetEngine` batches of up to ``fleet_size``
-members, and advanced N machines per tick.  Everything else — registry
-experiments, ineligible scenarios, ragged remainders that are not worth
-a batch — falls back to one inner :func:`~repro.runner.executor
-.run_grid` call on the supervised process pool.
+members, and advanced N machines per tick.  Each chunk is split further
+so that every worker has a batch, and the batches run as the jobs of
+one inner :func:`~repro.runner.executor.run_grid` call: in this process
+at ``workers=1``, on the supervised process pool otherwise.  The driver
+ships each batch's built ``System`` objects and keeps cache, journal
+and statistics to itself.  Everything else — registry experiments,
+ineligible scenarios, ragged remainders that are not worth a batch,
+members of a batch that failed — falls back to a second ``run_grid``
+call on the pool.
 
 Results are byte-identical to the pool path: a fleet member is the same
 :class:`~repro.system.System` built the same way ``execute_spec``
@@ -35,6 +40,7 @@ from repro.runner.executor import (
     run_grid,
 )
 from repro.runner.spec import JobSpec
+from repro.sim.clock import Clock
 
 #: Members per fleet batch.  64 machines keeps every per-tick array in
 #: cache-friendly territory; larger groups split into chunks of this.
@@ -119,6 +125,54 @@ def _fleet_result(scenario, result) -> dict:
     }
 
 
+def _split_for_workers(chunks: list[list], workers: int) -> list[list]:
+    """Split chunks into near-equal sub-batches until ``workers`` are busy.
+
+    Per-tick fleet cost is mostly fixed (a 12-member batch costs about
+    60% of a 24-member one), so splitting pays only while it occupies
+    an idle worker: parts are added one at a time, each to the chunk
+    whose sub-batches are largest, until there are ``workers`` batches
+    or no sub-batch could keep ``MIN_FLEET_BATCH`` members.  A chunk's
+    members are dealt round-robin, so each part gets a share of every
+    kind of job in it.  The member set is unchanged.
+    """
+    parts = [1] * len(chunks)
+    while sum(parts) < workers:
+        splittable = [
+            k for k, chunk in enumerate(chunks)
+            if len(chunk) // (parts[k] + 1) >= MIN_FLEET_BATCH
+        ]
+        if not splittable:
+            break
+        parts[max(splittable, key=lambda k: len(chunks[k]) / parts[k])] += 1
+    return [
+        chunk[part::n] for chunk, n in zip(chunks, parts) for part in range(n)
+    ]
+
+
+def _run_batch(members: list) -> dict:
+    """Advance one batch of built ``(scenario, System)`` members.
+
+    The ``run_fn`` of the batch grid: module-level so a pool worker can
+    unpickle it.  Returns the members' result dicts in order plus the
+    engine's :class:`~repro.fleet.FleetStats`.
+    """
+    from repro.fleet import FleetEngine
+
+    engine = FleetEngine([system for _scenario, system in members])
+    duration_s = members[0][0].duration_s
+    engine.run_for(duration_s)
+    return {
+        "results": [
+            _fleet_result(scenario, result)
+            for (scenario, _system), result in zip(
+                members, engine.results(duration_s)
+            )
+        ],
+        "stats": engine.stats,
+    }
+
+
 def run_grid_fleet(
     specs: Sequence[JobSpec],
     workers: int = 1,
@@ -137,7 +191,9 @@ def run_grid_fleet(
     Same contract as :func:`run_grid`: outcomes come back in input
     order, journal replays and cache hits are resolved first, and
     ``stop_event`` requests a graceful drain.  ``fleet_size`` caps the
-    members per :class:`FleetEngine` batch.  ``bus`` (an optional
+    members per :class:`FleetEngine` batch; ``workers`` processes run
+    the batches, then the pool fallback.  ``timeout_s`` and ``retries``
+    apply to the fallback jobs only.  ``bus`` (an optional
     :class:`repro.obs.events.EventBus`) receives job lifecycle plus
     ``fleet_chunk_*`` / ``fleet_tick_progress`` telemetry.
     """
@@ -186,7 +242,7 @@ def run_grid_fleet(
             to_run.append(i)
 
     # -- partition: fleet-eligible groups vs pool fallback ------------------
-    from repro.fleet import FleetEngine, FleetStats
+    from repro.fleet import FleetStats
 
     fleet_stats = FleetStats()
     fallback: list[int] = []
@@ -207,77 +263,62 @@ def run_grid_fleet(
             (i, scenario, system)
         )
 
-    batches: list[list[tuple[int, object, object]]] = []
+    chunks: list[list[tuple[int, object, object]]] = []
     for key in sorted(groups, key=lambda k: str(k)):
         group = groups[key]
         for start in range(0, len(group), fleet_size):
             chunk = group[start:start + fleet_size]
             if len(chunk) >= MIN_FLEET_BATCH:
-                batches.append(chunk)
+                chunks.append(chunk)
             else:
                 for i, _sc, _sys in chunk:
                     fall_back(
                         i, f"fewer than {MIN_FLEET_BATCH} jobs share its machine"
                     )
+    batches = _split_for_workers(chunks, workers)
 
-    # -- run the fleet batches ----------------------------------------------
-    interrupted = False
-    for batch_no, chunk in enumerate(batches):
-        if stop_event is not None and stop_event.is_set():
-            interrupted = True
-            break
-        indices = [i for i, _sc, _sys in chunk]
-        batch_start = time.monotonic()
+    # -- run the fleet batches, one batch per worker job --------------------
+    stats = ExecutorStats()
+    if batches:
         if journal is not None:
-            for i in indices:
-                journal.record_start(i, specs[i])
-        if bus is not None:
-            bus.emit("fleet_chunk_started", chunk=batch_no,
-                     members=len(chunk))
-            for i in indices:
-                bus.emit("job_started", index=i, engine="fleet")
-        try:
-            engine = FleetEngine([system for _i, _sc, system in chunk])
-            engine.event_bus = bus
-            duration_s = chunk[0][1].duration_s
-            engine.run_for(duration_s)
-            results = engine.results(duration_s)
-        except Exception as exc:
-            # A batch failure says nothing about which member is at
-            # fault; rerun them all through the pool's blame machinery.
-            error = f"{type(exc).__name__}: {exc}"
-            if bus is not None:
-                bus.emit("fleet_chunk_finished", chunk=batch_no,
-                         members=len(chunk), ok=False, error=error)
-            for i in indices:
-                fall_back(i, f"fleet batch failed ({error})")
-            continue
-        fleet_stats.merge(engine.stats)
-        elapsed = time.monotonic() - batch_start
-        per_job = elapsed / len(chunk)
-        for (i, scenario, _system), result in zip(chunk, results):
-            outcomes[i] = JobOutcome(
-                spec=specs[i],
-                result=_fleet_result(scenario, result),
-                attempts=1,
-                elapsed_s=per_job,
-            )
-            if journal is not None:
-                journal.record_outcome(i, outcomes[i])
-            if bus is not None:
-                bus.emit("job_finished", index=i, attempts=1,
-                         elapsed_s=per_job, engine="fleet")
-            if cache is not None:
-                cache.put(specs[i], outcomes[i].result)
-        if bus is not None:
-            bus.emit("fleet_chunk_finished", chunk=batch_no,
-                     members=len(chunk), ok=True, wall_s=elapsed)
+            for chunk in batches:
+                for i, _sc, _sys in chunk:
+                    journal.record_start(i, specs[i])
+        batch_report = run_grid(
+            [[(sc, sys) for _i, sc, sys in chunk] for chunk in batches],
+            workers=workers,
+            retries=0,
+            run_fn=_run_batch,
+            stop_event=stop_event,
+            bus=_BatchBus(bus, batches) if bus is not None else None,
+        )
+        stats.worker_crashes = batch_report.exec_stats.worker_crashes
+        stats.pool_rebuilds = batch_report.exec_stats.pool_rebuilds
+        stats.interrupted = batch_report.interrupted
+        for chunk, outcome in zip(batches, batch_report.outcomes):
+            if not outcome.ok:
+                # A batch failure says nothing about which member is at
+                # fault; rerun them all through the pool's blame
+                # machinery.  attempts == 0: drained before it ran.
+                if outcome.attempts:
+                    for i, _sc, _sys in chunk:
+                        fall_back(i, f"fleet batch failed ({outcome.error})")
+                continue
+            fleet_stats.merge(outcome.result["stats"])
+            per_job = outcome.elapsed_s / len(chunk)
+            for (i, _sc, _sys), result in zip(chunk, outcome.result["results"]):
+                outcomes[i] = JobOutcome(
+                    spec=specs[i], result=result, attempts=1,
+                    elapsed_s=per_job,
+                )
+                if journal is not None:
+                    journal.record_outcome(i, outcomes[i])
+                if cache is not None:
+                    cache.put(specs[i], result)
 
     # -- pool fallback for everything else ----------------------------------
     fallback.sort()
-    stats = ExecutorStats()
-    stats.interrupted = interrupted
-    if fallback and not interrupted:
+    if fallback and not stats.interrupted:
         inner = run_grid(
             [specs[i] for i in fallback],
             workers=workers,
@@ -295,13 +336,13 @@ def run_grid_fleet(
                 outcome.resumed and outcome.result is None
             ):
                 journal.record_outcome(i, outcome)
-        if inner.exec_stats is not None:
-            stats.retries = inner.exec_stats.retries
-            stats.worker_crashes = inner.exec_stats.worker_crashes
-            stats.pool_rebuilds = inner.exec_stats.pool_rebuilds
-            stats.timeouts = inner.exec_stats.timeouts
-            stats.quarantined = inner.exec_stats.quarantined
-            stats.interrupted = stats.interrupted or inner.exec_stats.interrupted
+        inner_stats = inner.exec_stats
+        stats.retries = inner_stats.retries
+        stats.worker_crashes += inner_stats.worker_crashes
+        stats.pool_rebuilds += inner_stats.pool_rebuilds
+        stats.timeouts = inner_stats.timeouts
+        stats.quarantined = inner_stats.quarantined
+        stats.interrupted = inner_stats.interrupted
 
     # -- order + report ------------------------------------------------------
     for i, spec in enumerate(specs):
@@ -354,3 +395,59 @@ class _InnerBus:
         if isinstance(index, int) and 0 <= index < len(self._map):
             data["index"] = self._map[index]
         return self._bus.emit(kind, **data)
+
+
+class _BatchBus:
+    """Bus proxy for the batch grid, where one job is one fleet batch.
+
+    Turns the batch grid's job lifecycle into the outer grid's fleet
+    events, indexed by batch (``chunk``) and member (``index``):
+
+    * batch started → ``fleet_chunk_started`` and ``job_started`` per
+      member;
+    * batch finished → one ``fleet_tick_progress`` covering its whole
+      run, ``job_finished`` per member, ``fleet_chunk_finished``;
+    * batch failed or quarantined → ``fleet_chunk_finished`` with
+      ``ok=False`` (the driver then emits the members' fallbacks).
+
+    Worker incidents pass through, a ``worker_death`` naming the batch
+    as ``chunk``.  The batch grid's own ``grid_started``/
+    ``grid_finished`` pair is dropped, as in :class:`_InnerBus`.
+    """
+
+    def __init__(self, bus, batches: list[list]) -> None:
+        self._bus = bus
+        self._batches = batches
+
+    def emit(self, kind: str, **data):
+        bus = self._bus
+        if kind in ("grid_started", "grid_finished"):
+            return None
+        if "index" not in data:
+            return bus.emit(kind, **data)
+        b = data.pop("index")
+        chunk = self._batches[b]
+        n = len(chunk)
+        if kind == "job_started":
+            bus.emit("fleet_chunk_started", chunk=b, members=n)
+            for i, _sc, _sys in chunk:
+                bus.emit("job_started", index=i, engine="fleet")
+        elif kind == "job_finished":
+            scenario = chunk[0][1]
+            ticks = Clock(scenario.config.tick_ms).ticks_for_ms(
+                scenario.duration_s * 1000.0
+            )
+            bus.emit("fleet_tick_progress", ticks=ticks, machines=n,
+                     ticks_total=ticks)
+            wall_s = data["elapsed_s"]
+            for i, _sc, _sys in chunk:
+                bus.emit("job_finished", index=i, attempts=1,
+                         elapsed_s=wall_s / n, engine="fleet")
+            bus.emit("fleet_chunk_finished", chunk=b, members=n, ok=True,
+                     wall_s=wall_s)
+        elif kind in ("job_failed", "job_quarantined"):
+            bus.emit("fleet_chunk_finished", chunk=b, members=n, ok=False,
+                     error=data.get("error", ""))
+        else:
+            bus.emit(kind, chunk=b, **data)
+        return None

@@ -9,6 +9,8 @@ one vectorized engine and everything else through the pool.
 from __future__ import annotations
 
 import json
+import os
+import threading
 
 import pytest
 
@@ -19,7 +21,11 @@ from repro.runner import (
     run_grid,
     run_grid_fleet,
 )
-from repro.runner.fleet_grid import MIN_FLEET_BATCH, _build_member
+from repro.runner.fleet_grid import (
+    MIN_FLEET_BATCH,
+    _build_member,
+    _split_for_workers,
+)
 
 DURATION_S = 3.0
 
@@ -176,6 +182,134 @@ class TestRunGridFleet:
     def test_bad_fleet_size_rejected(self):
         with pytest.raises(ValueError):
             run_grid_fleet([_fleet_spec(1)], fleet_size=0)
+
+
+def _parallel_grid() -> list[JobSpec]:
+    """One group of 5 (> 2 x MIN_FLEET_BATCH), a singleton group, and an
+    ineligible job."""
+    assert 5 > 2 * MIN_FLEET_BATCH
+    return [
+        _fleet_spec(1),
+        _noisy_spec(7),
+        _fleet_spec(2),
+        _fleet_spec(3),
+        _fleet_spec(4, tick_ms=5),  # alone on its machine key
+        _fleet_spec(4),
+        _fleet_spec(5),
+    ]
+
+
+def _crash_batch(members):
+    os._exit(47)  # the worker dies mid-batch
+
+
+class TestParallelBatches:
+    def test_split_occupies_workers_and_keeps_members(self):
+        chunk = list(range(5))
+        assert _split_for_workers([chunk], 1) == [chunk]
+        assert _split_for_workers([chunk], 2) == [[0, 2, 4], [1, 3]]
+        assert _split_for_workers([chunk], 8) == [[0, 2, 4], [1, 3]]
+        # Two chunks already occupy two workers: no split.
+        assert _split_for_workers([chunk, [5, 6]], 2) == [chunk, [5, 6]]
+        # The third worker's part comes from the chunk that can give one.
+        assert _split_for_workers([list(range(8)), [8, 9]], 3) == [
+            [0, 2, 4, 6], [1, 3, 5, 7], [8, 9],
+        ]
+
+    def test_unsplittable_chunk_stays_whole(self):
+        chunk = list(range(2 * MIN_FLEET_BATCH - 1))
+        assert _split_for_workers([chunk], 4) == [chunk]
+        specs = [_fleet_spec(seed) for seed in range(1, len(chunk) + 1)]
+        report = run_grid_fleet(specs, workers=2)
+        assert all(o.ok for o in report.outcomes)
+        assert report.fleet_stats.batches == 1
+
+    def test_two_workers_match_one_worker_and_pool(self):
+        specs = _parallel_grid()
+        serial = run_grid_fleet(specs, workers=1)
+        parallel = run_grid_fleet(specs, workers=2)
+        pool = run_grid(specs)
+        for report in (serial, parallel, pool):
+            assert all(o.ok for o in report.outcomes), [
+                o.error for o in report.outcomes if not o.ok
+            ]
+        assert [_encode(o.result) for o in parallel.outcomes] == [
+            _encode(o.result) for o in serial.outcomes
+        ]
+        assert [_encode(o.result) for o in parallel.outcomes] == [
+            _encode(o.result) for o in pool.outcomes
+        ]
+        assert serial.fleet_stats.members == parallel.fleet_stats.members == 5
+        assert serial.fleet_stats.batches == 1
+        assert parallel.fleet_stats.batches == 2
+        assert (parallel.fleet_stats.fallback_reasons
+                == serial.fleet_stats.fallback_reasons)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_tick_progress_accounts_every_machine_tick(self, workers):
+        from repro.obs.events import EventBus, RingBufferSink
+
+        bus = EventBus()
+        ring = RingBufferSink(1024)
+        bus.subscribe(ring)
+        report = run_grid_fleet(_parallel_grid(), workers=workers, bus=bus)
+        assert all(o.ok for o in report.outcomes)
+        events = ring.events()
+        progress = [e.data for e in events if e.kind == "fleet_tick_progress"]
+        assert sum(d["ticks"] * d["machines"] for d in progress) == (
+            report.fleet_stats.machine_ticks
+        )
+        started = [e.data for e in events if e.kind == "fleet_chunk_started"]
+        assert len(started) == report.fleet_stats.batches == workers
+        assert sum(d["members"] for d in started) == 5
+        assert sorted(
+            e.data["index"] for e in events if e.kind == "job_finished"
+        ) == list(range(7))
+
+    def test_stop_before_dispatch_interrupts_every_member(self):
+        stop = threading.Event()
+        stop.set()
+        specs = _parallel_grid()
+        report = run_grid_fleet(specs, workers=2, stop_event=stop)
+        assert report.interrupted
+        assert report.fleet_stats.members == 0
+        assert [o.error for o in report.outcomes] == (
+            ["interrupted before completion"] * len(specs)
+        )
+
+    def test_failed_batch_falls_back_to_pool(self, monkeypatch):
+        from repro.fleet import FleetEngine
+
+        def boom(self, seconds):
+            raise RuntimeError("fleet exploded")
+
+        monkeypatch.setattr(FleetEngine, "run_for", boom)
+        specs = [_fleet_spec(seed) for seed in (1, 2, 3)]
+        report = run_grid_fleet(specs)
+        assert all(o.ok for o in report.outcomes)
+        for outcome, spec in zip(report.outcomes, specs):
+            assert _encode(outcome.result) == _encode(execute_spec(spec))
+        stats = report.fleet_stats
+        assert stats.members == 0
+        assert stats.fallback_reasons == {
+            "fleet batch failed (RuntimeError: fleet exploded)": 3
+        }
+
+    def test_worker_crashes_count_as_incidents(self, monkeypatch):
+        import repro.runner.fleet_grid as fleet_grid
+
+        monkeypatch.setattr(fleet_grid, "_run_batch", _crash_batch)
+        specs = [_fleet_spec(seed) for seed in (1, 2, 3, 4)]
+        report = run_grid_fleet(specs, workers=2)
+        assert all(o.ok for o in report.outcomes)
+        for outcome, spec in zip(report.outcomes, specs):
+            assert _encode(outcome.result) == _encode(execute_spec(spec))
+        assert report.exec_stats.worker_crashes >= 2
+        assert report.exec_stats.pool_rebuilds >= 2
+        assert report.exec_stats.quarantined == 0
+        assert "worker crashes" in report.exec_stats.describe()
+        (reason,) = report.fleet_stats.fallback_reasons
+        assert reason.startswith("fleet batch failed (worker process died")
 
 
 class TestCliWiring:

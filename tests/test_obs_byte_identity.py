@@ -103,50 +103,6 @@ class TestSweepByteIdentity:
         assert counts.get("fleet_tick_progress", 0) >= 1
 
 
-class TestFleetEngineChunkedTicks:
-    def test_run_ticks_chunking_is_identical(self):
-        """With a bus attached, run_ticks advances in progress chunks;
-        the member results must stay byte-identical to the unchunked
-        loop."""
-        from repro.obs.events import EventBus, RingBufferSink
-        from repro.scenario import parse_scenario
-        from repro.fleet import FleetEngine
-        from repro.system import System
-
-        def build():
-            systems = []
-            for seed in (1, 2, 3):
-                scenario = parse_scenario({
-                    "name": "chunk-probe",
-                    "machine": {"preset": "cmp", "packages": 1,
-                                "cores": 2, "smt": False},
-                    "workload": {"builder": "steady_mix", "copies": 1},
-                    "policy": "energy",
-                    "seed": seed,
-                    "duration_s": 0.5,
-                    "counter_jitter_sigma": 0.0,
-                    "power": {"noise_sigma": 0.0},
-                })
-                systems.append(System(scenario.config, scenario.workload,
-                                      policy=scenario.policy))
-            return FleetEngine(systems)
-
-        plain = build()
-        plain.run_for(0.5)
-
-        observed = build()
-        bus = EventBus()
-        ring = RingBufferSink(64)
-        bus.subscribe(ring)
-        observed.event_bus = bus
-        observed.progress_every_ticks = 7  # force ragged chunking
-        observed.run_for(0.5)
-
-        for a, b in zip(plain.results(0.5), observed.results(0.5)):
-            assert a.scalar_summary() == b.scalar_summary()
-        assert any(e.kind == "fleet_tick_progress" for e in ring.events())
-
-
 class TestCheckpointBusNeutral:
     def test_checkpointed_run_identical_with_bus(self, tmp_path):
         from repro.obs.events import EventBus, RingBufferSink
