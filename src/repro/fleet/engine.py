@@ -328,14 +328,11 @@ class FleetEngine:
         self._sc_pkg_f2 = f((M, P))
         self._sc_pkg_f3 = f((M, P))
         self._sc_pkg_f4 = f((M, P))
-        # (P, k) cpu-index matrix when every package has the same number
-        # of cpus (column j = j-th cpu of each package, ascending) —
+        # (P, k) cpu-index matrix (column j = j-th cpu of each package,
+        # ascending; check_fleet_supported rejects ragged packages) —
         # lets _thermal reduce packages in k vector steps instead of a
         # python loop over P packages
-        sizes = {len(cs) for cs in self.pkg_cpus}
-        self.pkg_idx = (
-            np.asarray(self.pkg_cpus, dtype=np.intp) if len(sizes) == 1 else None
-        )
+        self.pkg_idx = np.asarray(self.pkg_cpus, dtype=np.intp)
         # lane caches refreshed only when some slot's current changes
         # (dirty flag set by _resync_slot); constants for the all-busy
         # fast path; scalar gates for the wake/fork scans
@@ -493,10 +490,6 @@ class FleetEngine:
         beh = task.behavior
         beh._wobble_remaining_s = float(self.wob_rem[m, c])
         beh._phase_remaining_s = float(self.phase_rem[m, c])
-
-    def _resync_machine(self, m: int) -> None:
-        for c in range(self.n_cpus):
-            self._resync_slot(m, c)
 
     def _recompute_wake_next(self, m: int) -> None:
         blocked = self.systems[m]._blocked

@@ -6,6 +6,9 @@ remaining specs — in this process when ``workers=1``, otherwise on a
 :class:`~repro.resilience.supervisor.SupervisedPool`.  Simulations are
 deterministic in their spec, so outcomes are returned in *input order*
 and a sweep's aggregate is byte-identical whatever the worker count.
+The body is three module-private stages — resolve, execute, finish —
+which :func:`repro.runner.fleet_grid.run_grid_fleet` runs too, with its
+fleet batches between the first two.
 
 Semantics worth knowing:
 
@@ -68,15 +71,9 @@ def execute_spec(spec: JobSpec) -> dict:
         return experiment_metrics(
             spec.experiment, duration_s=spec.duration_s, seed=spec.seed
         )
-    from repro.analysis.export import run_summary
     from repro.scenario import parse_scenario
 
-    data = dict(spec.scenario)
-    data.update(spec.overrides)
-    if spec.duration_s is not None:
-        data["duration_s"] = spec.duration_s
-    if spec.seed is not None:
-        data["seed"] = spec.seed
+    data = _merged_scenario(spec)
     options = dict(data.pop("options", None) or {})
     unknown = set(options) - {"fast_path", "validate", "obs"}
     if unknown:
@@ -89,14 +86,7 @@ def execute_spec(spec: JobSpec) -> dict:
         obs=obs,
         fast_path=True if fast_path is None else fast_path,
     )
-    out = {
-        "experiment": None,
-        "scenario": scenario.workload.name,
-        "duration_s": scenario.duration_s,
-        "seed": scenario.config.seed,
-        "scalars": result.scalar_summary(),
-        "summary": run_summary(result),
-    }
+    out = _scenario_result(scenario, result)
     if obs:
         # Per-job metrics ride along in sweep outputs.  The snapshot is
         # deterministic (mirrored counters and state gauges only — no
@@ -104,6 +94,35 @@ def execute_spec(spec: JobSpec) -> dict:
         out["metrics"] = result.metrics_snapshot()
         out["audit_sites"] = result.audit.sites_seen()
     return out
+
+
+def _merged_scenario(spec: JobSpec) -> dict:
+    """A scenario spec's JSON object after override/duration/seed merging.
+
+    Shared by :func:`execute_spec` and the fleet's member builder, so a
+    pool worker and a fleet member parse the identical shape.
+    """
+    data = dict(spec.scenario)
+    data.update(spec.overrides)
+    if spec.duration_s is not None:
+        data["duration_s"] = spec.duration_s
+    if spec.seed is not None:
+        data["seed"] = spec.seed
+    return data
+
+
+def _scenario_result(scenario, result) -> dict:
+    """The result dict of one finished scenario run, whatever engine ran it."""
+    from repro.analysis.export import run_summary
+
+    return {
+        "experiment": None,
+        "scenario": scenario.workload.name,
+        "duration_s": scenario.duration_s,
+        "seed": scenario.config.seed,
+        "scalars": result.scalar_summary(),
+        "summary": run_summary(result),
+    }
 
 
 @dataclass
@@ -211,6 +230,28 @@ def run_grid(
     if bus is not None:
         bus.emit("grid_started", total=len(specs), workers=workers)
     stats = ExecutorStats()
+    outcomes, to_run = _resolve(specs, cache, journal, bus)
+    _execute(
+        specs, to_run, outcomes, stats, workers, run_fn,
+        cache=cache, journal=journal, stop_event=stop_event, bus=bus,
+        quarantine_dir=quarantine_dir, timeout_s=timeout_s,
+        retries=retries, backoff_base_s=backoff_base_s,
+        backoff_cap_s=backoff_cap_s,
+    )
+    return _finish(specs, outcomes, stats, started, cache, progress, bus)
+
+
+# -- the three stages of a grid, shared with repro.runner.fleet_grid --------
+
+
+def _resolve(
+    specs: list[JobSpec], cache: ResultCache | None, journal, bus,
+) -> tuple[dict[int, JobOutcome], list[int]]:
+    """Serve journal replays, journaled quarantines and cache hits.
+
+    Returns the outcomes resolved so far, keyed by grid index, and the
+    indices still to run.
+    """
     outcomes: dict[int, JobOutcome] = {}
     to_run: list[int] = []
     for i, spec in enumerate(specs):
@@ -247,59 +288,97 @@ def run_grid(
                 journal.record_outcome(i, outcomes[i])
         else:
             to_run.append(i)
+    return outcomes, to_run
 
+
+def _execute(
+    specs: list[JobSpec],
+    indices: list[int],
+    outcomes: dict[int, JobOutcome],
+    stats: ExecutorStats,
+    workers: int,
+    run_fn: Callable[[JobSpec], dict],
+    cache: ResultCache | None,
+    journal,
+    stop_event,
+    bus,
+    quarantine_dir: str | pathlib.Path | None,
+    **limits,
+) -> None:
+    """Run ``specs[i]`` for each of ``indices`` and record the outcomes.
+
+    Serial in this process for one worker or one job, on a supervised
+    pool otherwise, serial again for whatever a failed pool left.  Each
+    job is journaled and emitted under its grid index, and successes
+    are cached.  ``limits`` are the remaining :class:`SupervisorConfig`
+    fields (timeout, retries, backoff).
+    """
+    if not indices or _stopped(stop_event):
+        return
     if quarantine_dir is None and cache is not None:
         quarantine_dir = pathlib.Path(cache.root) / "quarantine"
-    if to_run and not _stopped(stop_event):
-        config = SupervisorConfig(
-            timeout_s=timeout_s,
-            retries=retries,
-            backoff_base_s=backoff_base_s,
-            backoff_cap_s=backoff_cap_s,
-            quarantine_dir=(
-                pathlib.Path(quarantine_dir) if quarantine_dir is not None else None
-            ),
+    config = SupervisorConfig(
+        quarantine_dir=(
+            pathlib.Path(quarantine_dir) if quarantine_dir is not None else None
+        ),
+        **limits,
+    )
+    if workers == 1 or len(indices) == 1:
+        _run_serial(
+            specs, indices, config, run_fn, outcomes, stats,
+            journal=journal, stop_event=stop_event, bus=bus,
         )
-        if workers == 1 or len(to_run) == 1:
-            _run_serial(
-                specs, to_run, config, run_fn, outcomes, stats,
-                journal=journal, stop_event=stop_event, bus=bus,
+    else:
+        def record(i, result, error, attempts, elapsed_s, quarantined):
+            outcomes[i] = JobOutcome(
+                spec=specs[i], result=result, error=error,
+                attempts=attempts, elapsed_s=elapsed_s,
+                quarantined=quarantined,
             )
-        else:
-            def record(i, result, error, attempts, elapsed_s, quarantined):
-                outcomes[i] = JobOutcome(
-                    spec=specs[i], result=result, error=error,
-                    attempts=attempts, elapsed_s=elapsed_s,
-                    quarantined=quarantined,
-                )
-                if journal is not None:
-                    journal.record_outcome(i, outcomes[i])
-                _emit_outcome(bus, i, outcomes[i])
+            if journal is not None:
+                journal.record_outcome(i, outcomes[i])
+            _emit_outcome(bus, i, outcomes[i])
 
-            def on_start(i):
-                if journal is not None:
-                    journal.record_start(i, specs[i])
-                if bus is not None:
-                    bus.emit("job_started", index=i)
+        def on_start(i):
+            if journal is not None:
+                journal.record_start(i, specs[i])
+            if bus is not None:
+                bus.emit("job_started", index=i)
 
-            SupervisedPool(
-                specs, to_run, workers, run_fn, config, stats,
-                record=record, on_start=on_start, stop_event=stop_event,
-                bus=bus,
-            ).run()
-        leftover = [i for i in to_run if i not in outcomes]
-        if leftover and not stats.interrupted and not _stopped(stop_event):
-            # Pool unavailable (or it gave up): finish serially.
-            _run_serial(
-                specs, leftover, config, run_fn, outcomes, stats,
-                journal=journal, stop_event=stop_event, bus=bus,
-            )
-        if cache is not None:
-            for i in to_run:
-                outcome = outcomes.get(i)
-                if outcome is not None and outcome.ok:
-                    cache.put(outcome.spec, outcome.result)
+        SupervisedPool(
+            specs, indices, workers, run_fn, config, stats,
+            record=record, on_start=on_start, stop_event=stop_event,
+            bus=bus,
+        ).run()
+    leftover = [i for i in indices if i not in outcomes]
+    if leftover and not stats.interrupted and not _stopped(stop_event):
+        # Pool unavailable (or it gave up): finish serially.
+        _run_serial(
+            specs, leftover, config, run_fn, outcomes, stats,
+            journal=journal, stop_event=stop_event, bus=bus,
+        )
+    if cache is not None:
+        for i in indices:
+            outcome = outcomes.get(i)
+            if outcome is not None and outcome.ok:
+                cache.put(outcome.spec, outcome.result)
 
+
+def _finish(
+    specs: list[JobSpec],
+    outcomes: dict[int, JobOutcome],
+    stats: ExecutorStats,
+    started: float,
+    cache: ResultCache | None,
+    progress: ProgressFn | None,
+    bus,
+    fleet_stats=None,
+) -> GridReport:
+    """Mark unfinished jobs interrupted and report outcomes in grid order.
+
+    A fleet grid passes its ``fleet_stats``; its ``grid_finished``
+    event then carries ``engine="fleet"`` like its ``grid_started``.
+    """
     for i, spec in enumerate(specs):
         if i not in outcomes:
             stats.interrupted = True
@@ -316,6 +395,7 @@ def run_grid(
             failed=sum(1 for o in ordered if not o.ok),
             interrupted=stats.interrupted,
             wall_s=time.monotonic() - started,
+            **({} if fleet_stats is None else {"engine": "fleet"}),
         )
     if progress is not None:
         for i, outcome in enumerate(ordered):
@@ -325,6 +405,7 @@ def run_grid(
         cache_stats=cache.stats if cache is not None else None,
         wall_s=time.monotonic() - started,
         exec_stats=stats,
+        fleet_stats=fleet_stats,
     )
 
 

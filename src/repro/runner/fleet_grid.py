@@ -1,7 +1,10 @@
 """Fleet-backed sweep execution: batch homogeneous jobs per tick.
 
-:func:`run_grid_fleet` is ``run_grid`` with a vectorized front end.
-Scenario specs whose parsed systems are fleet-eligible (see
+:func:`run_grid_fleet` is ``run_grid`` with a vectorized middle stage.
+It runs :func:`~repro.runner.executor.run_grid`'s own stages on outer
+grid indices — resolve journal replays and cache hits, execute, finish
+and report — and adds placement between the first two.  Scenario specs
+whose parsed systems are fleet-eligible (see
 :func:`repro.fleet.check_fleet_supported`) are grouped by machine
 topology, tick length, and duration, packed into
 :class:`~repro.fleet.FleetEngine` batches of up to ``fleet_size``
@@ -12,17 +15,17 @@ at ``workers=1``, on the supervised process pool otherwise.  The driver
 ships each batch's built ``System`` objects and keeps cache, journal
 and statistics to itself.  Everything else — registry experiments,
 ineligible scenarios, ragged remainders that are not worth a batch,
-members of a batch that failed — falls back to a second ``run_grid``
-call on the pool.
+members of a batch that failed — goes through ``run_grid``'s execution
+stage, journaled, cached and counted exactly as on the pool.
 
 Results are byte-identical to the pool path: a fleet member is the same
-:class:`~repro.system.System` built the same way ``execute_spec``
-builds it, the engines are differentially tested against each other
-(``repro.validate.fleet``, tests/test_fleet_equivalence.py), and the
-result dict is assembled by the same export calls.  Cache entries and
-journal records are therefore interchangeable between engines — a sweep
-can resume under ``--engine fleet`` what it started under ``pool`` and
-vice versa.
+:class:`~repro.system.System` built from the same merged scenario as
+``execute_spec`` builds it, the engines are differentially tested
+against each other (``repro.validate.fleet``,
+tests/test_fleet_equivalence.py), and the result dict comes from the
+same helper.  Cache entries and journal records are therefore
+interchangeable between engines — a sweep can resume under
+``--engine fleet`` what it started under ``pool`` and vice versa.
 """
 
 from __future__ import annotations
@@ -37,6 +40,12 @@ from repro.runner.executor import (
     GridReport,
     JobOutcome,
     ProgressFn,
+    _execute,
+    _finish,
+    _merged_scenario,
+    _resolve,
+    _scenario_result,
+    execute_spec,
     run_grid,
 )
 from repro.runner.spec import JobSpec
@@ -50,21 +59,6 @@ DEFAULT_FLEET_SIZE = 64
 #: SoA attach/flush overhead for no broadcast win, so singletons ride
 #: the pool path with everything else.
 MIN_FLEET_BATCH = 2
-
-
-def _merged_scenario_dict(spec: JobSpec) -> dict:
-    """The scenario object after override/duration/seed merging.
-
-    Exactly the merge ``execute_spec`` performs, so a fleet member and
-    a pool worker parse the identical JSON shape.
-    """
-    data = dict(spec.scenario)
-    data.update(spec.overrides)
-    if spec.duration_s is not None:
-        data["duration_s"] = spec.duration_s
-    if spec.seed is not None:
-        data["seed"] = spec.seed
-    return data
 
 
 def _build_member(spec: JobSpec):
@@ -81,7 +75,7 @@ def _build_member(spec: JobSpec):
 
     if spec.experiment is not None:
         return None, None, "experiment specs always run on the pool"
-    data = _merged_scenario_dict(spec)
+    data = _merged_scenario(spec)
     if data.get("obs"):
         return None, None, "observability requested"
     if data.get("options"):
@@ -109,20 +103,6 @@ def _machine_key(scenario) -> tuple:
         config.tick_ms,
         float(scenario.duration_s),
     )
-
-
-def _fleet_result(scenario, result) -> dict:
-    """Assemble the result dict exactly as ``execute_spec`` does."""
-    from repro.analysis.export import run_summary
-
-    return {
-        "experiment": None,
-        "scenario": scenario.workload.name,
-        "duration_s": scenario.duration_s,
-        "seed": scenario.config.seed,
-        "scalars": result.scalar_summary(),
-        "summary": run_summary(result),
-    }
 
 
 def _split_for_workers(chunks: list[list], workers: int) -> list[list]:
@@ -164,7 +144,7 @@ def _run_batch(members: list) -> dict:
     engine.run_for(duration_s)
     return {
         "results": [
-            _fleet_result(scenario, result)
+            _scenario_result(scenario, result)
             for (scenario, _system), result in zip(
                 members, engine.results(duration_s)
             )
@@ -192,7 +172,7 @@ def run_grid_fleet(
     order, journal replays and cache hits are resolved first, and
     ``stop_event`` requests a graceful drain.  ``fleet_size`` caps the
     members per :class:`FleetEngine` batch; ``workers`` processes run
-    the batches, then the pool fallback.  ``timeout_s`` and ``retries``
+    the batches, then the fallback jobs.  ``timeout_s`` and ``retries``
     apply to the fallback jobs only.  ``bus`` (an optional
     :class:`repro.obs.events.EventBus`) receives job lifecycle plus
     ``fleet_chunk_*`` / ``fleet_tick_progress`` telemetry.
@@ -204,42 +184,8 @@ def run_grid_fleet(
     if bus is not None:
         bus.emit("grid_started", total=len(specs), workers=workers,
                  engine="fleet")
-    outcomes: dict[int, JobOutcome] = {}
-
-    # -- resolve journal replays and cache hits (same rules as run_grid) ----
-    to_run: list[int] = []
-    for i, spec in enumerate(specs):
-        if journal is not None:
-            prior = journal.completed_result(spec)
-            if prior is not None:
-                outcomes[i] = JobOutcome(
-                    spec=spec, result=prior, cached=True, resumed=True
-                )
-                if bus is not None:
-                    bus.emit("job_cache_hit", index=i, source="journal")
-                continue
-            if journal.is_quarantined(spec):
-                outcomes[i] = JobOutcome(
-                    spec=spec,
-                    result=None,
-                    error=journal.quarantine_error(spec)
-                    or "quarantined in a previous run",
-                    quarantined=True,
-                    resumed=True,
-                )
-                if bus is not None:
-                    bus.emit("job_quarantined", index=i, resumed=True,
-                             error=outcomes[i].error or "")
-                continue
-        hit = cache.get(spec) if cache is not None else None
-        if hit is not None:
-            outcomes[i] = JobOutcome(spec=spec, result=hit, cached=True)
-            if bus is not None:
-                bus.emit("job_cache_hit", index=i, source="cache")
-            if journal is not None:
-                journal.record_outcome(i, outcomes[i])
-        else:
-            to_run.append(i)
+    stats = ExecutorStats()
+    outcomes, to_run = _resolve(specs, cache, journal, bus)
 
     # -- partition: fleet-eligible groups vs pool fallback ------------------
     from repro.fleet import FleetStats
@@ -278,7 +224,6 @@ def run_grid_fleet(
     batches = _split_for_workers(chunks, workers)
 
     # -- run the fleet batches, one batch per worker job --------------------
-    stats = ExecutorStats()
     if batches:
         if journal is not None:
             for chunk in batches:
@@ -316,85 +261,17 @@ def run_grid_fleet(
                 if cache is not None:
                     cache.put(specs[i], result)
 
-    # -- pool fallback for everything else ----------------------------------
+    # -- everything else runs as run_grid runs it, on outer indices ---------
     fallback.sort()
-    if fallback and not stats.interrupted:
-        inner = run_grid(
-            [specs[i] for i in fallback],
-            workers=workers,
-            cache=cache,
-            timeout_s=timeout_s,
-            retries=retries,
-            journal=None,  # outer journal indices would collide; see below
-            stop_event=stop_event,
-            quarantine_dir=quarantine_dir,
-            bus=_InnerBus(bus, fallback) if bus is not None else None,
-        )
-        for i, outcome in zip(fallback, inner.outcomes):
-            outcomes[i] = outcome
-            if journal is not None and not (
-                outcome.resumed and outcome.result is None
-            ):
-                journal.record_outcome(i, outcome)
-        inner_stats = inner.exec_stats
-        stats.retries = inner_stats.retries
-        stats.worker_crashes += inner_stats.worker_crashes
-        stats.pool_rebuilds += inner_stats.pool_rebuilds
-        stats.timeouts = inner_stats.timeouts
-        stats.quarantined = inner_stats.quarantined
-        stats.interrupted = inner_stats.interrupted
-
-    # -- order + report ------------------------------------------------------
-    for i, spec in enumerate(specs):
-        if i not in outcomes:
-            stats.interrupted = True
-            outcomes[i] = JobOutcome(
-                spec=spec, result=None,
-                error="interrupted before completion",
-            )
-    ordered = [outcomes[i] for i in range(len(specs))]
-    if bus is not None:
-        bus.emit(
-            "grid_finished",
-            total=len(specs),
-            failed=sum(1 for o in ordered if not o.ok),
-            interrupted=stats.interrupted,
-            wall_s=time.monotonic() - started,
-            engine="fleet",
-        )
-    if progress is not None:
-        for i, outcome in enumerate(ordered):
-            progress(outcome, i, len(specs))
-    return GridReport(
-        outcomes=ordered,
-        cache_stats=cache.stats if cache is not None else None,
-        wall_s=time.monotonic() - started,
-        exec_stats=stats,
+    _execute(
+        specs, fallback, outcomes, stats, workers, execute_spec,
+        cache=cache, journal=journal, stop_event=stop_event, bus=bus,
+        quarantine_dir=quarantine_dir, timeout_s=timeout_s, retries=retries,
+    )
+    return _finish(
+        specs, outcomes, stats, started, cache, progress, bus,
         fleet_stats=fleet_stats,
     )
-
-
-class _InnerBus:
-    """Bus proxy for the inner pool-fallback ``run_grid`` call.
-
-    Drops the inner grid's ``grid_started``/``grid_finished`` (the
-    outer fleet grid already emitted the authoritative pair for the
-    full spec list) and rewrites job indices from fallback-sublist
-    positions back to outer grid positions, so every job event the
-    consumer sees indexes one consistent grid.
-    """
-
-    def __init__(self, bus, index_map: list[int]) -> None:
-        self._bus = bus
-        self._map = index_map
-
-    def emit(self, kind: str, **data):
-        if kind in ("grid_started", "grid_finished"):
-            return None
-        index = data.get("index")
-        if isinstance(index, int) and 0 <= index < len(self._map):
-            data["index"] = self._map[index]
-        return self._bus.emit(kind, **data)
 
 
 class _BatchBus:
@@ -412,7 +289,7 @@ class _BatchBus:
 
     Worker incidents pass through, a ``worker_death`` naming the batch
     as ``chunk``.  The batch grid's own ``grid_started``/
-    ``grid_finished`` pair is dropped, as in :class:`_InnerBus`.
+    ``grid_finished`` pair is dropped: the outer grid emits its own.
     """
 
     def __init__(self, bus, batches: list[list]) -> None:

@@ -1227,8 +1227,8 @@ class System:
                 rng.gauss_next = _sin(x2pi) * g2rad
             true_w = clean * (1.0 + z * noise_sigma)
             decay = decays[pkg]
-            # Inlined ThermalRC.step_with_decay (both RCs) — same
-            # expression on the same cached operands.
+            # Inlined ThermalRC.step (both RCs) with the rc_decay factor
+            # hoisted — same expression on the same cached operands.
             rc = true_rc[pkg]
             target = rc._ambient_c + true_w * rc._r_k_per_w
             true_temp = target + (rc._temp_c - target) * decay

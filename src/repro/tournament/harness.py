@@ -18,7 +18,12 @@ set.
 
 Scenario set: the eight pinned perf configurations (same machines,
 seeds, workloads, and power budgets as ``repro.perf.scenarios``), minus
-their pinned policies — the policy axis belongs to the tournament.
+their pinned policies — the policy axis belongs to the tournament, and
+the throttle mode with it (a policy may force its own, see
+:meth:`~repro.core.policyspec.PolicySpec.throttle_override`).  So
+``throttle-dvfs`` races with ``hlt`` throttling where its perf entry
+pins ``dvfs``; ``tests/test_tournament.py`` checks that every entry
+otherwise builds its perf configuration exactly.
 Because ``mixed-16cpu`` and ``mixed-16cpu-baseline`` differed only by
 pinned policy, their tournament columns share a configuration; the
 duplicate is kept deliberately — the two columns are computed

@@ -312,6 +312,62 @@ class TestParallelBatches:
         assert reason.startswith("fleet batch failed (worker process died")
 
 
+def _fleet_and_fallback_grid() -> list[JobSpec]:
+    """Two fleet members (0, 2) and two noisy fallbacks (1, 3)."""
+    return [_fleet_spec(1), _noisy_spec(7), _fleet_spec(2), _noisy_spec(8)]
+
+
+class TestFallbackBookkeeping:
+    """Fallback jobs are journaled, cached and counted as on the pool."""
+
+    def test_cache_stats_match_pool(self, tmp_path):
+        specs = _fleet_and_fallback_grid()
+        fleet = run_grid_fleet(specs, cache=ResultCache(tmp_path / "fleet"))
+        pool = run_grid(specs, cache=ResultCache(tmp_path / "pool"))
+        assert fleet.fleet_stats.members == 2
+        assert (fleet.cache_stats.hits, fleet.cache_stats.misses) == (0, 4)
+        assert fleet.cache_stats == pool.cache_stats
+
+    def test_stop_after_batches_journals_no_false_failures(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.runner.fleet_grid as fleet_grid
+        from repro.resilience import SweepJournal
+
+        specs = _fleet_and_fallback_grid()
+        stop = threading.Event()
+        batch_grid = fleet_grid.run_grid
+
+        def stop_when_batches_return(*args, **kwargs):
+            report = batch_grid(*args, **kwargs)
+            stop.set()
+            return report
+
+        monkeypatch.setattr(fleet_grid, "run_grid", stop_when_batches_return)
+        path = tmp_path / "sweep.journal"
+        with SweepJournal(path, specs) as journal:
+            first = run_grid_fleet(specs, journal=journal, stop_event=stop)
+        assert first.interrupted
+        assert [o.ok for o in first.outcomes] == [True, False, True, False]
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["index"] for r in records if r["kind"] == "fail"] == []
+        assert sorted(
+            r["index"] for r in records if r["kind"] == "finish"
+        ) == [0, 2]
+
+        monkeypatch.setattr(fleet_grid, "run_grid", batch_grid)
+        with SweepJournal(path, specs) as journal:
+            second = run_grid_fleet(specs, journal=journal)
+        assert not second.interrupted
+        assert [o.resumed for o in second.outcomes] == [
+            True, False, True, False,
+        ]
+        pool = run_grid(specs)
+        assert [_encode(o.result) for o in second.outcomes] == [
+            _encode(o.result) for o in pool.outcomes
+        ]
+
+
 class TestCliWiring:
     def test_engine_flag_default_pool(self):
         from repro.cli import build_parser

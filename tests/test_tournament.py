@@ -32,6 +32,38 @@ class TestScenarioSet:
             assert "policy" not in scenario.scenario
             assert "duration_s" not in scenario.scenario
 
+    def test_scenarios_build_the_pinned_perf_configurations(self):
+        """Each tournament dict is its perf entry minus the policy axis.
+
+        The one deliberate difference: the tournament races
+        ``throttle-dvfs`` with ``hlt`` throttling (the throttle mode
+        belongs to the policy axis), where the perf entry pins ``dvfs``.
+        """
+        import dataclasses
+
+        from repro.perf.scenarios import REFERENCE_SCENARIOS
+        from repro.scenario import parse_scenario
+
+        reference = {s.name: s for s in REFERENCE_SCENARIOS}
+        assert [s.name for s in TOURNAMENT_SCENARIOS] == list(reference)
+        for scenario in TOURNAMENT_SCENARIOS:
+            ref = reference[scenario.name]
+            parsed = parse_scenario({
+                **scenario.scenario,
+                "policy": ref.policy,
+                "duration_s": ref.duration_s,
+            })
+            config, workload = ref.build()
+            assert parsed.workload == workload, scenario.name
+            if scenario.name == "throttle-dvfs":
+                assert parsed.config.throttle.mode == "hlt"
+                assert config.throttle.mode == "dvfs"
+                config = dataclasses.replace(
+                    config,
+                    throttle=dataclasses.replace(config.throttle, mode="hlt"),
+                )
+            assert parsed.config == config, scenario.name
+
     def test_lineup_covers_the_required_families(self):
         assert "energy" in POLICY_LINEUP
         assert "hlt-throttle" in POLICY_LINEUP
