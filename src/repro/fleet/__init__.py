@@ -11,6 +11,7 @@ from repro.fleet.engine import (
     FleetStats,
     FleetUnsupported,
     check_fleet_supported,
+    fleet_refusals,
 )
 
 __all__ = [
@@ -19,4 +20,5 @@ __all__ = [
     "FleetStats",
     "FleetUnsupported",
     "check_fleet_supported",
+    "fleet_refusals",
 ]

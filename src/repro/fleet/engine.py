@@ -43,7 +43,8 @@ Equivalence rules (each asserted by ``tests/test_fleet_equivalence.py``):
   (at most 1-ulp) different dict values are invisible in all
   byte-compared outputs.
 
-Eligibility (:func:`check_fleet_supported`) restricts members to the
+Eligibility (:func:`check_fleet_supported`, whose config- and
+workload-level half is :func:`fleet_refusals`) restricts members to the
 configurations the arrays model: fast path, no validator/observer, no
 throttling/DVFS, no energy containers, ``counter_jitter_sigma == 0``,
 ``power.noise_sigma == 0``.  Seeds, policies, workloads, thermal
@@ -58,10 +59,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.config import SystemConfig
 from repro.core.ewma import thermal_alpha
+from repro.core.policyspec import PolicySpec
 from repro.cpu.thermal import rc_decay
+from repro.cpu.topology import Topology
 from repro.sim.clock import Clock
 from repro.system import System
+from repro.workloads.generator import WorkloadSpec
 
 #: Fleet checkpoint format identity (header + per-member System snapshots).
 FLEET_CHECKPOINT_SCHEMA = "repro-fleet-checkpoint"
@@ -72,6 +77,11 @@ _INF = float("inf")
 
 class FleetUnsupported(ValueError):
     """A System cannot be advanced by the fleet engine as configured."""
+
+    @classmethod
+    def refusing(cls, reasons: list[str]) -> "FleetUnsupported":
+        """The error :func:`check_fleet_supported` raises for ``reasons``."""
+        return cls("system not fleet-eligible: " + "; ".join(reasons))
 
 
 @dataclass
@@ -139,12 +149,50 @@ class FleetStats:
         }
 
 
+def fleet_refusals(
+    config: SystemConfig, workload: WorkloadSpec, policy: PolicySpec
+) -> list[str]:
+    """Why a run of ``(config, workload, policy)`` is not fleet-eligible.
+
+    The config- and workload-level half of :func:`check_fleet_supported`,
+    decided without building anything.  ``config`` may be the parsed
+    one, before the policy's forced throttle mode is applied: the
+    predicate applies it as ``System`` does.  Returns the refusal
+    reasons in check order; empty means eligible.  ``run_grid_fleet``
+    places jobs with it, so its verdict and the built-system check
+    must agree.
+    """
+    throttle = policy.throttle_override(config.throttle) or config.throttle
+    reasons = []
+    if throttle.enabled:
+        reasons.append("throttling/DVFS enabled")
+    if any(s.power_cap_w is not None for s in workload.tasks):
+        reasons.append("energy containers (power caps) in the workload")
+    if config.counter_jitter_sigma != 0.0:
+        reasons.append(
+            f"counter_jitter_sigma={config.counter_jitter_sigma} != 0"
+        )
+    if config.power.noise_sigma != 0.0:
+        reasons.append(f"power.noise_sigma={config.power.noise_sigma} != 0")
+    machine = config.machine
+    if machine.threads_per_core > 2:
+        reasons.append("threads_per_core > 2 (sibling map is single-valued)")
+    topology = Topology(machine)
+    if len({
+        len(topology.cpus_of_package(p)) for p in range(machine.n_packages)
+    }) != 1:
+        reasons.append("ragged package sizes (thermal reduction needs a matrix)")
+    return reasons
+
+
 def check_fleet_supported(system: System) -> None:
     """Raise :class:`FleetUnsupported` unless ``system`` is fleet-eligible.
 
     The checks mirror exactly what the array layout models; anything
     else must run on the scalar engine (the runner falls back to the
-    process pool for such jobs).
+    process pool for such jobs).  The system-only reasons come first,
+    then :func:`fleet_refusals` on the system's config, workload and
+    policy.
     """
     reasons = []
     if not system.fast_path:
@@ -155,24 +203,9 @@ def check_fleet_supported(system: System) -> None:
         reasons.append("observer installed")
     if system.fault_injector is not None:
         reasons.append("fault injector installed")
-    if system.config.throttle.enabled:
-        reasons.append("throttling/DVFS enabled")
-    if system._has_power_caps:
-        reasons.append("energy containers (power caps) in the workload")
-    if system.config.counter_jitter_sigma != 0.0:
-        reasons.append(
-            f"counter_jitter_sigma={system.config.counter_jitter_sigma} != 0"
-        )
-    if system.config.power.noise_sigma != 0.0:
-        reasons.append(f"power.noise_sigma={system.config.power.noise_sigma} != 0")
-    if system.config.machine.threads_per_core > 2:
-        reasons.append("threads_per_core > 2 (sibling map is single-valued)")
-    if len({len(cpus) for cpus in system._pkg_cpus}) != 1:
-        reasons.append("ragged package sizes (thermal reduction needs a matrix)")
+    reasons += fleet_refusals(system.config, system.workload, system.policy_spec)
     if reasons:
-        raise FleetUnsupported(
-            "system not fleet-eligible: " + "; ".join(reasons)
-        )
+        raise FleetUnsupported.refusing(reasons)
 
 
 class FleetEngine:

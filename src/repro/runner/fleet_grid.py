@@ -3,20 +3,24 @@
 :func:`run_grid_fleet` is ``run_grid`` with a vectorized middle stage.
 It runs :func:`~repro.runner.executor.run_grid`'s own stages on outer
 grid indices — resolve journal replays and cache hits, execute, finish
-and report — and adds placement between the first two.  Scenario specs
-whose parsed systems are fleet-eligible (see
-:func:`repro.fleet.check_fleet_supported`) are grouped by machine
-topology, tick length, and duration, packed into
-:class:`~repro.fleet.FleetEngine` batches of up to ``fleet_size``
-members, and advanced N machines per tick.  Each chunk is split further
-so that every worker has a batch, and the batches run as the jobs of
-one inner :func:`~repro.runner.executor.run_grid` call: in this process
-at ``workers=1``, on the supervised process pool otherwise.  The driver
-ships each batch's built ``System`` objects and keeps cache, journal
-and statistics to itself.  Everything else — registry experiments,
-ineligible scenarios, ragged remainders that are not worth a batch,
-members of a batch that failed — goes through ``run_grid``'s execution
-stage, journaled, cached and counted exactly as on the pool.
+and report — and adds placement between the first two.  Placement
+builds nothing: the driver parses each scenario spec and asks
+:func:`repro.fleet.fleet_refusals` whether the fleet can take it.
+Eligible scenarios are grouped by machine topology, tick length, and
+duration, packed into :class:`~repro.fleet.FleetEngine` batches of up
+to ``fleet_size`` members, and advanced N machines per tick.  Each
+chunk is split further so that every worker has a batch, and the
+batches run as the jobs of one inner
+:func:`~repro.runner.executor.run_grid` call: in this process at
+``workers=1``, on the supervised process pool otherwise.  A batch
+carries parsed ``Scenario`` objects and builds its member ``System``
+objects where it runs; ``FleetEngine`` re-checks every built member with
+:func:`repro.fleet.check_fleet_supported`.  The driver keeps cache,
+journal and statistics to itself.  Everything else — registry
+experiments, ineligible or unparseable scenarios, ragged remainders
+that are not worth a batch, members of a batch that failed — goes
+through ``run_grid``'s execution stage, journaled, cached and counted
+exactly as on the pool.
 
 Results are byte-identical to the pool path: a fleet member is the same
 :class:`~repro.system.System` built from the same merged scenario as
@@ -61,38 +65,33 @@ DEFAULT_FLEET_SIZE = 64
 MIN_FLEET_BATCH = 2
 
 
-def _build_member(spec: JobSpec):
-    """Parse one scenario spec and build its System, or explain why not.
+def _place_member(spec: JobSpec):
+    """Parse one scenario spec and decide whether the fleet takes it.
 
-    Returns ``(scenario, system, None)`` for a fleet-eligible job and
-    ``(None, None, reason)`` otherwise.  Build errors are not raised
-    here — the pool path will surface them with the executor's full
+    Returns ``(scenario, None)`` for a fleet-eligible job and
+    ``(None, reason)`` otherwise.  Nothing is built here; the batch
+    builds its members where it runs.  Parse errors are not raised —
+    the pool path will surface them with the executor's full
     retry/quarantine machinery.
     """
-    from repro.fleet import FleetUnsupported, check_fleet_supported
+    from repro.fleet import FleetUnsupported, fleet_refusals
     from repro.scenario import parse_scenario
-    from repro.system import System
 
     if spec.experiment is not None:
-        return None, None, "experiment specs always run on the pool"
+        return None, "experiment specs always run on the pool"
     data = _merged_scenario(spec)
     if data.get("obs"):
-        return None, None, "observability requested"
+        return None, "observability requested"
     if data.get("options"):
-        return None, None, "run options requested"
+        return None, "run options requested"
     try:
         scenario = parse_scenario(data)
-        system = System(
-            scenario.config,
-            scenario.workload,
-            policy=scenario.policy,
-        )
-        check_fleet_supported(system)
-    except FleetUnsupported as exc:
-        return None, None, str(exc)
     except Exception as exc:
-        return None, None, f"build failed ({type(exc).__name__}: {exc})"
-    return scenario, system, None
+        return None, f"parse failed ({type(exc).__name__}: {exc})"
+    reasons = fleet_refusals(scenario.config, scenario.workload, scenario.policy)
+    if reasons:
+        return None, str(FleetUnsupported.refusing(reasons))
+    return scenario, None
 
 
 def _machine_key(scenario) -> tuple:
@@ -130,23 +129,30 @@ def _split_for_workers(chunks: list[list], workers: int) -> list[list]:
     ]
 
 
-def _run_batch(members: list) -> dict:
-    """Advance one batch of built ``(scenario, System)`` members.
+def _run_batch(scenarios: list) -> dict:
+    """Build one batch's member Systems and advance them as one fleet.
 
     The ``run_fn`` of the batch grid: module-level so a pool worker can
-    unpickle it.  Returns the members' result dicts in order plus the
-    engine's :class:`~repro.fleet.FleetStats`.
+    unpickle it.  Each member is built as ``execute_spec`` builds it;
+    ``FleetEngine`` then asserts ``check_fleet_supported`` on every
+    member, so a failed build or a placement the built check disagrees
+    with fails the whole batch.  Returns the members' result dicts in
+    order plus the engine's :class:`~repro.fleet.FleetStats`.
     """
     from repro.fleet import FleetEngine
+    from repro.system import System
 
-    engine = FleetEngine([system for _scenario, system in members])
-    duration_s = members[0][0].duration_s
+    engine = FleetEngine([
+        System(scenario.config, scenario.workload, policy=scenario.policy)
+        for scenario in scenarios
+    ])
+    duration_s = scenarios[0].duration_s
     engine.run_for(duration_s)
     return {
         "results": [
             _scenario_result(scenario, result)
-            for (scenario, _system), result in zip(
-                members, engine.results(duration_s)
+            for scenario, result in zip(
+                scenarios, engine.results(duration_s)
             )
         ],
         "stats": engine.stats,
@@ -199,17 +205,15 @@ def run_grid_fleet(
         if bus is not None:
             bus.emit("fleet_fallback", index=i, reason=reason)
 
-    groups: dict[tuple, list[tuple[int, object, object]]] = {}
+    groups: dict[tuple, list[tuple[int, object]]] = {}
     for i in to_run:
-        scenario, system, reason = _build_member(specs[i])
+        scenario, reason = _place_member(specs[i])
         if scenario is None:
             fall_back(i, reason)
             continue
-        groups.setdefault(_machine_key(scenario), []).append(
-            (i, scenario, system)
-        )
+        groups.setdefault(_machine_key(scenario), []).append((i, scenario))
 
-    chunks: list[list[tuple[int, object, object]]] = []
+    chunks: list[list[tuple[int, object]]] = []
     for key in sorted(groups, key=lambda k: str(k)):
         group = groups[key]
         for start in range(0, len(group), fleet_size):
@@ -217,7 +221,7 @@ def run_grid_fleet(
             if len(chunk) >= MIN_FLEET_BATCH:
                 chunks.append(chunk)
             else:
-                for i, _sc, _sys in chunk:
+                for i, _sc in chunk:
                     fall_back(
                         i, f"fewer than {MIN_FLEET_BATCH} jobs share its machine"
                     )
@@ -225,17 +229,13 @@ def run_grid_fleet(
 
     # -- run the fleet batches, one batch per worker job --------------------
     if batches:
-        if journal is not None:
-            for chunk in batches:
-                for i, _sc, _sys in chunk:
-                    journal.record_start(i, specs[i])
         batch_report = run_grid(
-            [[(sc, sys) for _i, sc, sys in chunk] for chunk in batches],
+            [[sc for _i, sc in chunk] for chunk in batches],
             workers=workers,
             retries=0,
             run_fn=_run_batch,
             stop_event=stop_event,
-            bus=_BatchBus(bus, batches) if bus is not None else None,
+            bus=_BatchBus(bus, journal, specs, batches),
         )
         stats.worker_crashes = batch_report.exec_stats.worker_crashes
         stats.pool_rebuilds = batch_report.exec_stats.pool_rebuilds
@@ -246,12 +246,12 @@ def run_grid_fleet(
                 # fault; rerun them all through the pool's blame
                 # machinery.  attempts == 0: drained before it ran.
                 if outcome.attempts:
-                    for i, _sc, _sys in chunk:
+                    for i, _sc in chunk:
                         fall_back(i, f"fleet batch failed ({outcome.error})")
                 continue
             fleet_stats.merge(outcome.result["stats"])
             per_job = outcome.elapsed_s / len(chunk)
-            for (i, _sc, _sys), result in zip(chunk, outcome.result["results"]):
+            for (i, _sc), result in zip(chunk, outcome.result["results"]):
                 outcomes[i] = JobOutcome(
                     spec=specs[i], result=result, attempts=1,
                     elapsed_s=per_job,
@@ -277,8 +277,11 @@ def run_grid_fleet(
 class _BatchBus:
     """Bus proxy for the batch grid, where one job is one fleet batch.
 
-    Turns the batch grid's job lifecycle into the outer grid's fleet
-    events, indexed by batch (``chunk``) and member (``index``):
+    Journals each member's ``start`` when its batch starts, so a sweep
+    stopped before dispatch journals none, as on the pool.  With an
+    outer ``bus``, also turns the batch grid's job lifecycle into the
+    outer grid's fleet events, indexed by batch (``chunk``) and member
+    (``index``):
 
     * batch started → ``fleet_chunk_started`` and ``job_started`` per
       member;
@@ -292,13 +295,19 @@ class _BatchBus:
     ``grid_finished`` pair is dropped: the outer grid emits its own.
     """
 
-    def __init__(self, bus, batches: list[list]) -> None:
+    def __init__(self, bus, journal, specs: list[JobSpec],
+                 batches: list[list]) -> None:
         self._bus = bus
+        self._journal = journal
+        self._specs = specs
         self._batches = batches
 
     def emit(self, kind: str, **data):
+        if kind == "job_started" and self._journal is not None:
+            for i, _sc in self._batches[data["index"]]:
+                self._journal.record_start(i, self._specs[i])
         bus = self._bus
-        if kind in ("grid_started", "grid_finished"):
+        if bus is None or kind in ("grid_started", "grid_finished"):
             return None
         if "index" not in data:
             return bus.emit(kind, **data)
@@ -307,7 +316,7 @@ class _BatchBus:
         n = len(chunk)
         if kind == "job_started":
             bus.emit("fleet_chunk_started", chunk=b, members=n)
-            for i, _sc, _sys in chunk:
+            for i, _sc in chunk:
                 bus.emit("job_started", index=i, engine="fleet")
         elif kind == "job_finished":
             scenario = chunk[0][1]
@@ -317,7 +326,7 @@ class _BatchBus:
             bus.emit("fleet_tick_progress", ticks=ticks, machines=n,
                      ticks_total=ticks)
             wall_s = data["elapsed_s"]
-            for i, _sc, _sys in chunk:
+            for i, _sc in chunk:
                 bus.emit("job_finished", index=i, attempts=1,
                          elapsed_s=wall_s / n, engine="fleet")
             bus.emit("fleet_chunk_finished", chunk=b, members=n, ok=True,

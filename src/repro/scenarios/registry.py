@@ -35,7 +35,9 @@ per-seed instance expansion with stable cache/journal identities.
 
 Fleet eligibility is declared per family
 (:attr:`ScenarioFamily.fleet_eligible`) and asserted in tests against
-:func:`repro.fleet.check_fleet_supported` on built instances.
+:func:`repro.fleet.fleet_refusals`, the predicate ``sweep --engine
+fleet`` places jobs with, on parsed instances (and against
+:func:`repro.fleet.check_fleet_supported` on built ones).
 """
 
 from __future__ import annotations
@@ -173,10 +175,11 @@ class ScenarioFamily:
         spec-derived stream — the function must draw all randomness
         from it and must validate its parameters up front.
     fleet_eligible:
-        Whether generated instances satisfy
-        :func:`repro.fleet.check_fleet_supported` (noise pinned to
-        zero, no throttling) — declared here, asserted by tests, and
-        relied on by ``sweep --engine fleet`` packing.
+        Whether generated instances pass
+        :func:`repro.fleet.fleet_refusals` with no refusal (noise
+        pinned to zero, no throttling) — declared here, asserted by
+        tests, and relied on by ``sweep --engine fleet`` placement,
+        which asks that predicate of each parsed scenario.
     adversarial:
         Families engineered to maximize migrations/throttling rather
         than model a benign arrival process.

@@ -23,9 +23,10 @@ from repro.runner import (
 )
 from repro.runner.fleet_grid import (
     MIN_FLEET_BATCH,
-    _build_member,
+    _place_member,
     _split_for_workers,
 )
+from repro.system import System
 
 DURATION_S = 3.0
 
@@ -62,23 +63,28 @@ def _encode(result: dict) -> str:
 
 class TestPartitioning:
     def test_eligible_member_builds(self):
-        scenario, system, reason = _build_member(_fleet_spec(1))
-        assert reason is None and system is not None
+        from repro.fleet import check_fleet_supported
+
+        scenario, reason = _place_member(_fleet_spec(1))
+        assert reason is None
         assert scenario.duration_s == DURATION_S
+        check_fleet_supported(
+            System(scenario.config, scenario.workload, policy=scenario.policy)
+        )
 
     def test_experiment_spec_goes_to_pool(self):
         spec = JobSpec(experiment="fig9", seed=1, duration_s=2.0)
-        _scenario, _system, reason = _build_member(spec)
+        _scenario, reason = _place_member(spec)
         assert "pool" in reason
 
     def test_noisy_scenario_goes_to_pool(self):
-        _scenario, _system, reason = _build_member(_noisy_spec(1))
+        _scenario, reason = _place_member(_noisy_spec(1))
         assert "noise_sigma" in reason
 
-    def test_broken_scenario_reports_build_failure(self):
+    def test_broken_scenario_reports_parse_failure(self):
         spec = JobSpec(scenario={"workload": {"builder": "no-such"}}, seed=1)
-        _scenario, _system, reason = _build_member(spec)
-        assert "build failed" in reason
+        _scenario, reason = _place_member(spec)
+        assert "parse failed" in reason
 
 
 class TestRunGridFleet:
@@ -295,6 +301,65 @@ class TestParallelBatches:
             "fleet batch failed (RuntimeError: fleet exploded)": 3
         }
 
+    def test_driver_builds_no_member_at_two_workers(self, monkeypatch):
+        builds = []
+        original = System.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(System, "__init__", counted)
+        specs = [_fleet_spec(seed) for seed in (1, 2, 3, 4)]
+        report = run_grid_fleet(specs, workers=2)
+        assert all(o.ok for o in report.outcomes)
+        assert report.fleet_stats.members == 4
+        assert report.fleet_stats.batches == 2
+        assert builds == []
+        monkeypatch.undo()
+        for outcome, spec in zip(report.outcomes, specs):
+            assert _encode(outcome.result) == _encode(execute_spec(spec))
+
+    def test_member_build_failure_fails_the_batch(self, monkeypatch):
+        """At one worker the batch builds its members in this process;
+        the second build (a batch member's) raises."""
+        original = System.__init__
+        calls = []
+
+        def second_build_fails(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("member build failed")
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(System, "__init__", second_build_fails)
+        specs = [_fleet_spec(seed) for seed in (1, 2, 3)]
+        report = run_grid_fleet(specs)
+        monkeypatch.undo()
+        assert all(o.ok for o in report.outcomes)
+        for outcome, spec in zip(report.outcomes, specs):
+            assert _encode(outcome.result) == _encode(execute_spec(spec))
+        assert report.fleet_stats.members == 0
+        assert report.fleet_stats.fallback_reasons == {
+            "fleet batch failed (RuntimeError: member build failed)": 3
+        }
+
+    def test_misplaced_member_fails_the_batch(self, monkeypatch):
+        """A placement the built check refuses never yields a result."""
+        import repro.fleet
+
+        monkeypatch.setattr(repro.fleet, "fleet_refusals",
+                            lambda config, workload, policy: [])
+        specs = [_fleet_spec(1), _noisy_spec(7), _fleet_spec(2)]
+        report = run_grid_fleet(specs)
+        monkeypatch.undo()
+        assert all(o.ok for o in report.outcomes)
+        for outcome, spec in zip(report.outcomes, specs):
+            assert _encode(outcome.result) == _encode(execute_spec(spec))
+        (reason,) = report.fleet_stats.fallback_reasons
+        assert reason.startswith("fleet batch failed (FleetUnsupported: ")
+        assert "noise_sigma" in reason
+
     def test_worker_crashes_count_as_incidents(self, monkeypatch):
         import repro.runner.fleet_grid as fleet_grid
 
@@ -366,6 +431,40 @@ class TestFallbackBookkeeping:
         assert [_encode(o.result) for o in second.outcomes] == [
             _encode(o.result) for o in pool.outcomes
         ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stop_before_dispatch_journals_no_start(self, tmp_path, workers):
+        from repro.resilience import SweepJournal
+
+        specs = [_fleet_spec(1), _fleet_spec(2)]
+        kinds = {}
+        for engine, runner in (("fleet", run_grid_fleet), ("pool", run_grid)):
+            stop = threading.Event()
+            stop.set()
+            path = tmp_path / f"{engine}.journal"
+            with SweepJournal(path, specs) as journal:
+                report = runner(specs, workers=workers, journal=journal,
+                                stop_event=stop)
+            assert report.interrupted
+            kinds[engine] = [
+                json.loads(line)["kind"]
+                for line in path.read_text().splitlines()
+            ]
+        assert kinds["fleet"] == kinds["pool"]
+        assert "start" not in kinds["fleet"]
+
+    def test_batch_members_journal_start_then_finish(self, tmp_path):
+        from repro.resilience import SweepJournal
+
+        specs = _fleet_and_fallback_grid()
+        path = tmp_path / "sweep.journal"
+        with SweepJournal(path, specs) as journal:
+            report = run_grid_fleet(specs, journal=journal)
+        assert all(o.ok for o in report.outcomes)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for index in range(len(specs)):
+            kinds = [r["kind"] for r in records if r.get("index") == index]
+            assert kinds == ["start", "finish"], (index, kinds)
 
 
 class TestCliWiring:
